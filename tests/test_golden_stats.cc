@@ -206,6 +206,80 @@ TEST(GoldenStats, FigLeakageCampaign)
     compareOrRegen("fig_leakage.digest", os.str());
 }
 
+TEST(GoldenStats, CompiledMatrix)
+{
+    // The sim.compiled differential matrix of test_fastforward_diff
+    // frozen as data: the naive-loop digest of every fault-free
+    // CompiledDiff arm, plus the FS energy, prefetch and refresh
+    // variants. The differential tests only prove that two issue
+    // paths agree with each other; this file pins what they agree on.
+    struct Arm
+    {
+        const char *label;
+        const char *scheme;
+        const char *workload;
+        uint64_t seed;
+        const char *key;   ///< extra config key (nullptr: none)
+        const char *value;
+    };
+    const Arm arms[] = {
+        {"fs_rp/mcf/1", "fs_rp", "mcf", 1, nullptr, nullptr},
+        {"fs_rp/libquantum/42", "fs_rp", "libquantum", 42, nullptr,
+         nullptr},
+        {"fs_bp/mcf/1", "fs_bp", "mcf", 1, nullptr, nullptr},
+        {"fs_np/mcf/1", "fs_np", "mcf", 1, nullptr, nullptr},
+        {"fs_np/hog/1", "fs_np", "hog", 1, nullptr, nullptr},
+        {"fs_np_triple/mcf/3", "fs_np_triple", "mcf", 3, nullptr,
+         nullptr},
+        {"fs_rp+weights/mcf/1", "fs_rp", "mcf", 1, "fs.slot_weights",
+         "2,1,1,1"},
+        {"fs_reordered_bp/mcf/1", "fs_reordered_bp", "mcf", 1, nullptr,
+         nullptr},
+        {"fs_reordered_bp/milc/42", "fs_reordered_bp", "milc", 42,
+         nullptr, nullptr},
+        {"tp_bp/mcf/1", "tp_bp", "mcf", 1, nullptr, nullptr},
+        {"tp_np/mcf/1", "tp_np", "mcf", 1, nullptr, nullptr},
+        {"fs_rp+refresh/mcf/1", "fs_rp", "mcf", 1, "dram.refresh",
+         "true"},
+        {"fs_rp_powerdown+refresh/mix2/1", "fs_rp_powerdown", "mix2", 1,
+         "dram.refresh", "true"},
+        {"fs_rp_prefetch/libquantum/1", "fs_rp_prefetch", "libquantum",
+         1, nullptr, nullptr},
+        {"fs_rp_boost/mcf/1", "fs_rp_boost", "mcf", 1, nullptr,
+         nullptr},
+        {"fs_rp_suppress/mcf/1", "fs_rp_suppress", "mcf", 1, nullptr,
+         nullptr},
+    };
+
+    Campaign campaign;
+    for (const Arm &a : arms) {
+        // Same design point as test_fastforward_diff's diffConfig,
+        // run on the naive loop.
+        Config c = defaultConfig();
+        c.merge(schemeConfig(a.scheme));
+        c.set("workload", a.workload);
+        c.set("cores", 4);
+        c.set("seed", a.seed);
+        c.set("sim.warmup", 1500);
+        c.set("sim.measure", 12000);
+        c.set("audit.core", 0);
+        c.set("audit.progress_interval", 1000);
+        c.set("sim.fastforward", false);
+        if (a.key)
+            c.set(a.key, a.value);
+        campaign.add(a.label, c);
+    }
+    CampaignOptions opts;
+    opts.jobs = 4; // the runner guarantees serial-identical results
+    campaign.run(opts);
+
+    std::ostringstream os;
+    for (size_t i = 0; i < campaign.size(); ++i)
+        os << "== " << arms[i].label << " ==\n"
+           << resultDigest(campaign.result(i));
+    compareOrRegen("compiled_matrix.digest", os.str());
+}
+
 TEST(GoldenStats, TabSolverAnalytics)
 {
     std::ostringstream os;
