@@ -67,14 +67,16 @@ class DramSystem
      */
     IssueResult issue(const Command &cmd, Cycle now);
 
-    /** Per-cycle housekeeping (energy state accounting). */
-    void tick(Cycle now);
-
     /**
-     * Closed-form tick() over a skipped span [from, to): legal only
-     * when no command issues inside the span, so each rank's power
-     * state is constant except for a refresh completing mid-span.
+     * Energy residency. Each rank is settled up to a command's cycle
+     * just before issue() changes its state, and tick(now) /
+     * fastForwardEnergy(from, to) settle every rank to the end of the
+     * executed cycle / skipped span. That is the residency per-cycle
+     * sampling would give (refresh and power-down included), for any
+     * mix of executed cycles, skipped spans and commands applied
+     * lazily inside them.
      */
+    void tick(Cycle now);
     void fastForwardEnergy(Cycle from, Cycle to);
 
     Rank &rank(unsigned r) { return ranks_.at(r); }
@@ -93,17 +95,16 @@ class DramSystem
     uint64_t commandsIssued() const { return commandsIssued_; }
 
     /**
-     * Compiled-replay integration (docs/PERF.md). In On mode the
-     * shadow TimingChecker is not consulted on issue() — legality is
-     * carried by the ScheduleVerifier's static hyperperiod proof — and
-     * rank energy residency comes from decision-time [ACT, CAS)
-     * intervals instead of per-cycle power-state sampling. Verify
-     * keeps the full audit. Incompatible with a fault injector (the
-     * audit stream is the whole point of an injection run).
+     * sim.compiled=on for a design point its scheduler proved with
+     * the ScheduleVerifier (Scheduler::enableCompiledReplay returned
+     * true): issue() then skips the shadow TimingChecker, whose work
+     * the static hyperperiod proof has already done. Off and Verify
+     * keep the full audit. The size_t argument is no longer read.
+     * Incompatible with a fault injector (the audit stream is the
+     * whole point of an injection run).
      */
-    void setCompiledMode(CompiledMode mode, size_t intervalCapacity);
+    void setCompiledMode(CompiledMode mode, size_t unused = 0);
     CompiledMode compiledMode() const { return compiledMode_; }
-    CompiledEnergyAccountant &compiledEnergy() { return compiledEnergy_; }
 
     /**
      * Attach a fault injector: the checker observes the injector's
@@ -154,10 +155,6 @@ class DramSystem
     uint64_t commandsIssued_ = 0;
 
     CompiledMode compiledMode_ = CompiledMode::Off;
-    CompiledEnergyAccountant compiledEnergy_;
-
-    /** tick()/fastForwardEnergy() via the interval accountant. */
-    void accountCompiledSpan(Cycle from, Cycle to);
 
     fault::FaultInjector *injector_ = nullptr;
     RunReport *report_ = nullptr;

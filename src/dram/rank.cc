@@ -186,25 +186,6 @@ Rank::powerState(Cycle now) const
 }
 
 void
-Rank::tickEnergy(Cycle now)
-{
-    switch (powerState(now)) {
-      case PowerState::PowerDown:
-        ++energy_.cyclesPowerDown;
-        break;
-      case PowerState::Refreshing:
-        ++energy_.cyclesRefreshing;
-        break;
-      case PowerState::ActiveStandby:
-        ++energy_.cyclesActive;
-        break;
-      case PowerState::PrechargeStandby:
-        ++energy_.cyclesPrecharge;
-        break;
-    }
-}
-
-void
 Rank::accountEnergySpan(Cycle from, Cycle to)
 {
     uint64_t span = to - from;
@@ -224,6 +205,22 @@ Rank::accountEnergySpan(Cycle from, Cycle to)
         energy_.cyclesActive += span;
     else
         energy_.cyclesPrecharge += span;
+}
+
+Cycle
+Rank::energyCursor() const
+{
+    return energy_.cyclesActive + energy_.cyclesPrecharge +
+           energy_.cyclesPowerDown + energy_.cyclesRefreshing;
+}
+
+void
+Rank::settleEnergy(Cycle to)
+{
+    const Cycle from = energyCursor();
+    panic_if(to < from, "energy settled to {} but already accounted to {}",
+             to, from);
+    accountEnergySpan(from, to);
 }
 
 } // namespace memsec::dram

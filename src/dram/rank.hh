@@ -102,16 +102,24 @@ class Rank
      *  the last power-down exit (tXP). */
     Cycle pdExitReadyAt() const { return pdExitReadyAt_; }
 
-    /** Per-cycle energy accounting; call once per cycle. */
-    void tickEnergy(Cycle now);
-
     /**
-     * tickEnergy() for every cycle in [from, to) at once. Valid only
-     * while no command issues in the span: bank open/closed state and
-     * power-down are command-driven, so the only transition inside an
-     * idle span is a refresh completing at refreshEnd_.
+     * Account every cycle in [from, to) at the current power state.
+     * Valid only while no command issues in the span: bank open/closed
+     * state and power-down are command-driven, so the only transition
+     * inside an idle span is a refresh completing at refreshEnd_.
      */
     void accountEnergySpan(Cycle from, Cycle to);
+
+    /**
+     * First cycle whose residency is not yet accounted. Accounting
+     * starts at cycle 0 and covers each cycle exactly once, so this is
+     * the sum of the residency counters: derived, never serialized.
+     */
+    Cycle energyCursor() const;
+
+    /** accountEnergySpan(energyCursor(), to); panics if `to` lies
+     *  behind the cursor (a command applied out of time order). */
+    void settleEnergy(Cycle to);
 
     const RankEnergyCounters &energy() const { return energy_; }
     RankEnergyCounters &energy() { return energy_; }

@@ -79,13 +79,11 @@ defaultConfig()
     // Idle-skip fast forward (byte-identical to the naive loop; see
     // tests/test_fastforward_diff.cc). Off = force the naive loop.
     c.set("sim.fastforward", true);
-    // Table-driven schedule replay (docs/PERF.md): off | on | verify.
-    // Policies that cannot prove their template decline and keep the
-    // interpreted path; "verify" replays with the TimingChecker and
-    // completion predictions cross-checked every command.
+    // How much of the replayed FS/TP command stream is audited
+    // (docs/PERF.md): off | on | verify. "on" skips the TimingChecker
+    // only for design points the ScheduleVerifier proved; "verify"
+    // audits and also asserts every completion prediction.
     c.set("sim.compiled", "off");
-    c.set("sim.compiled_ring", 64);
-    c.set("sim.compiled_intervals", 4096);
     // Fixed-capacity request pool for scheduler-internal operations
     // (dummies); heap fallback beyond this is a structured SimError,
     // never UB (tests/test_fixed_pool.cc).
@@ -503,23 +501,20 @@ ExperimentSystem::ExperimentSystem(const Config &cfg)
         }
     }
 
-    // Compiled-schedule replay (sim.compiled, docs/PERF.md): decided
-    // last so the offer sees the final scheduler/injector wiring.
-    // Simulation-perturbing injection always keeps the interpreted
-    // path (the schedulers decline independently as well); snapshot-
-    // durability kinds never touch the simulation and may replay.
+    // sim.compiled (docs/PERF.md): decided last so the offer sees the
+    // final scheduler/injector wiring. Simulation-perturbing injection
+    // keeps every command audited (the schedulers decline
+    // independently as well); snapshot-durability kinds never touch
+    // the simulation and may skip the audit.
     const CompiledMode compiledMode =
         parseCompiledMode(cfg.getString("sim.compiled", "off"));
     if (compiledMode != CompiledMode::Off &&
         (!injector.enabled() || durabilityFault)) {
         sched::CompiledReplayOptions copts;
         copts.mode = compiledMode;
-        copts.ringCapacity = cfg.getUint("sim.compiled_ring", 64);
-        const size_t intervalCap =
-            cfg.getUint("sim.compiled_intervals", 4096);
         for (auto &m : mcs) {
             if (m->scheduler().enableCompiledReplay(copts))
-                m->dram().setCompiledMode(compiledMode, intervalCap);
+                m->dram().setCompiledMode(compiledMode);
         }
     }
 

@@ -84,9 +84,10 @@ struct ExperimentResult
     //    while every simulated observable stays byte-identical) --
     uint64_t cyclesExecuted = 0; ///< cycles the tick loop ran
     uint64_t cyclesSkipped = 0;  ///< cycles skipped by fast-forward
-    /** Commands applied via table-driven replay (sim.compiled). */
+    /** Commands applied through a scheduler's replay ring. */
     uint64_t compiledCommands = 0;
-    /** Replay -> interpreted fallbacks (ring exhaustion). */
+    /** Always 0: the replay ring has no fallback any more. Kept so
+     *  campaign journal entries keep their layout. */
     uint64_t compiledFallbacks = 0;
     /** True when the run continued from an on-disk checkpoint rather
      *  than starting at cycle 0. Not part of resultDigest(): a

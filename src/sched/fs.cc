@@ -109,8 +109,16 @@ FsScheduler::FsScheduler(mem::MemoryController &mc, const Params &params)
     for (DomainId d = 0; d < n; ++d)
         domainRng_.emplace_back(params.rngSeed * 0x9E3779B9u + d);
 
+    const auto &tp = dram_.timing();
+    completeReadDelta_ = tp.cas + tp.burst;
+    completeWriteDelta_ = tp.cwd + tp.burst;
+    // Ops in flight: slots decided within one command lead of the
+    // latest CAS, two events each.
+    const Cycle depth = static_cast<Cycle>(
+        static_cast<long>(lead_) + std::max(off.casRead, off.casWrite));
+    ring_ = ReplayRing<PlannedOp>(2 * (depth / l_ + 1));
+
     if (params_.refresh) {
-        const auto &tp = dram_.timing();
         // No slot may have commands or auto-precharge activity inside
         // the epoch: quiet-down begins one worst-case transaction
         // footprint before the REF burst.
@@ -132,20 +140,17 @@ FsScheduler::name() const
 bool
 FsScheduler::enableCompiledReplay(const CompiledReplayOptions &opts)
 {
-    if (opts.mode == CompiledMode::Off || compiledActive_)
-        return false;
-    // Refresh blackouts are keyed on the absolute slot index (not
-    // frame-periodic) and injected skew invalidates the template
-    // outright; both keep the interpreted path.
-    if (params_.refresh || injector_)
-        return false;
     panic_if(!planned_.empty(), "enableCompiledReplay after ticking");
+    compiledMode_ = opts.mode;
+    // Injected skew perturbs the very template the proof is about.
+    if (opts.mode == CompiledMode::Off || injector_)
+        return false;
 
-    // Re-prove this exact design point over its hyperperiod before
-    // trusting the table. The verifier builds one slot per domain;
-    // weighted tables repeat domains, so hand it the structural frame
-    // length (non-phantom slot count) — pair legality never depends
-    // on domain identity, only on slot distance and group lane.
+    // Re-prove this exact design point over its hyperperiod. The
+    // verifier builds one slot per domain; weighted tables repeat
+    // domains, so hand it the structural frame length (non-phantom
+    // slot count) — pair legality never depends on domain identity,
+    // only on slot distance and group lane.
     unsigned structuralSlots = 0;
     for (DomainId d : slotTable_)
         structuralSlots += d == kPhantom ? 0 : 1;
@@ -155,15 +160,14 @@ FsScheduler::enableCompiledReplay(const CompiledReplayOptions &opts)
     vcfg.numDomains = structuralSlots;
     vcfg.numRanks = dram_.numRanks();
     vcfg.bankGroups = groups_;
-    vcfg.refresh = false;
-    const analysis::ScheduleVerifier verifier(dram_.timing(), vcfg);
-    CompiledSchedule table = verifier.compile(l_);
+    const CompiledSchedule table =
+        analysis::ScheduleVerifier(dram_.timing(), vcfg).compile(l_);
     if (!table.valid)
         return false;
 
     // Cross-check the emitted structure against this scheduler's own
     // template: a disagreement means the proof ran over a different
-    // schedule than the one we are about to replay.
+    // schedule than the one this scheduler issues.
     fatal_if(table.l != l_ || table.lead != lead_,
              "compiled table geometry mismatch: l {}/{} lead {}/{}",
              table.l, l_, table.lead, lead_);
@@ -175,7 +179,7 @@ FsScheduler::enableCompiledReplay(const CompiledReplayOptions &opts)
         return static_cast<Cycle>(static_cast<long>(lead_) + o);
     };
     for (uint64_t s = 0; s < slotsPerFrame_; ++s) {
-        CompiledSlot &slot = table.slots[s];
+        const CompiledSlot &slot = table.slots[s];
         fatal_if(slot.phantom != (slotTable_[s] == kPhantom),
                  "compiled table phantom mismatch at slot {}", s);
         fatal_if(slot.actRead != delta(off.actRead) ||
@@ -183,32 +187,22 @@ FsScheduler::enableCompiledReplay(const CompiledReplayOptions &opts)
                      slot.actWrite != delta(off.actWrite) ||
                      slot.casWrite != delta(off.casWrite),
                  "compiled table command deltas mismatch at slot {}", s);
-        // The verifier numbers domains round-robin; adopt this
-        // scheduler's (possibly SLA-weighted) assignment.
-        if (!slot.phantom)
-            slot.domain = slotTable_[s];
     }
 
-    table_ = std::move(table);
-    const auto &tp = dram_.timing();
-    completeReadDelta_ = tp.cas + tp.burst;
-    completeWriteDelta_ = tp.cwd + tp.burst;
-    ring_ = std::make_unique<ReplayRing<PlannedOp>>(opts.ringCapacity);
-    compiledMode_ = opts.mode;
-    compiledActive_ = true;
+    // Refresh blackouts are keyed on the absolute slot index, so no
+    // frame table carries them; prove the epochs over the refresh
+    // hyperperiod instead.
+    if (params_.refresh) {
+        vcfg.refresh = true;
+        return analysis::ScheduleVerifier(dram_.timing(), vcfg)
+            .verify(l_)
+            .ok;
+    }
     return true;
 }
 
 void
-FsScheduler::disableCompiled()
-{
-    compiledActive_ = false;
-    if (ring_)
-        ring_->clear();
-}
-
-void
-FsScheduler::enqueueReplay(PlannedOp &op, Cycle now)
+FsScheduler::enqueueReplay(PlannedOp &op)
 {
     // Clientless ops (dummies) retire silently at CAS apply; only
     // client-visible completions need an exact wake cycle.
@@ -217,29 +211,17 @@ FsScheduler::enqueueReplay(PlannedOp &op, Cycle now)
             ? op.casAt +
                   (op.write ? completeWriteDelta_ : completeReadDelta_)
             : kNoCycle;
-    if (ring_->push({op.actAt, kNoCycle, &op, false}) &&
-        ring_->push({op.casAt, completeAt, &op, true}))
-        return;
-    // Ring exhausted: a structured, recoverable condition. The events
-    // are dropped wholesale and the interpreted issueDue() takes over
-    // from the planned-op flags — nothing is lost, only speed.
-    ++compiledFallbacks_;
-    mc_.recordError(
-        {now, "pool-exhausted",
-         "compiled replay ring capacity " +
-             std::to_string(ring_->capacity()) +
-             " exhausted; falling back to interpreted scheduling"});
-    disableCompiled();
+    if (!op.actIssued)
+        ring_.push({op.actAt, kNoCycle, &op, false});
+    ring_.push({op.casAt, completeAt, &op, true});
 }
 
 void
 FsScheduler::applyUpTo(Cycle now)
 {
-    if (!compiledActive_)
-        return;
-    while (!ring_->empty() && ring_->front().at <= now) {
-        const ReplayEvent<PlannedOp> ev = ring_->front();
-        ring_->pop();
+    while (!ring_.empty() && ring_.front().at <= now) {
+        const ReplayEvent<PlannedOp> ev = ring_.front();
+        ring_.pop();
         PlannedOp &op = *ev.op;
         panic_if(!op.req, "compiled replay lost its request");
         if (!ev.cas) {
@@ -383,17 +365,7 @@ FsScheduler::plan(uint64_t slot, std::unique_ptr<MemRequest> req,
 
     op.req = std::move(req);
     planned_.push_back(std::move(op));
-
-    // Compiled-energy intervals are fed at decision time for *every*
-    // op (suppressed commands still drive the device's row state), so
-    // they stay correct even after a mid-run fallback to interpreted
-    // issue. Replay events only while the ring is live.
-    PlannedOp &queued = planned_.back();
-    if (dram_.compiledEnergy().active())
-        dram_.compiledEnergy().addInterval(queued.req->loc.rank,
-                                           queued.actAt, queued.casAt);
-    if (compiledActive_)
-        enqueueReplay(queued, ref);
+    enqueueReplay(planned_.back());
 }
 
 void
@@ -553,32 +525,6 @@ FsScheduler::decideSlot(uint64_t slot, Cycle now)
 }
 
 void
-FsScheduler::issueDue(Cycle now)
-{
-    for (auto &op : planned_) {
-        if (!op.actIssued && op.actAt == now) {
-            panic_if(!op.req, "planned op lost its request");
-            Command act{CmdType::Act, op.req->loc.rank, op.req->loc.bank,
-                        op.req->loc.row, op.req->id, op.suppressAct};
-            dram_.issue(act, now);
-            op.actIssued = true;
-            return; // one command per cycle
-        }
-        if (op.actIssued && op.req && op.casAt == now) {
-            const CmdType type = op.write ? CmdType::WrA : CmdType::RdA;
-            Command cas{type, op.req->loc.rank, op.req->loc.bank,
-                        op.req->loc.row, op.req->id, op.suppressCas};
-            const dram::IssueResult res = dram_.issue(cas, now);
-            mc_.noteBurst(op.dummy);
-            mc_.finishRequest(std::move(op.req), res.dataEnd);
-            return;
-        }
-        if (op.actAt > now && op.casAt > now)
-            break;
-    }
-}
-
-void
 FsScheduler::tick(Cycle now)
 {
     if (nextRefresh_ != kNoCycle && now >= nextRefresh_) {
@@ -599,10 +545,7 @@ FsScheduler::tick(Cycle now)
     }
     if (now % l_ == 0)
         decideSlot(now / l_, now);
-    if (compiledActive_)
-        applyUpTo(now); // ops this decide may have cycles == now
-    else
-        issueDue(now);
+    applyUpTo(now); // ops this decide may have cycles == now
     while (!planned_.empty() && !planned_.front().req)
         planned_.pop_front();
 }
@@ -611,15 +554,9 @@ Cycle
 FsScheduler::nextWakeCycle(Cycle now) const
 {
     const Cycle next = now + 1;
-    if (compiledActive_) {
-        // Decisions happen at slot boundaries; queued commands apply
-        // lazily, so only a client-visible completion forces an
-        // executed cycle between boundaries.
-        Cycle wake = (next + l_ - 1) / l_ * l_;
-        wake = std::min(wake, ring_->minCompletion());
-        return std::max(wake, next);
-    }
-    Cycle wake = kNoCycle;
+    // Every multiple of l is a slot decision, even when it only
+    // counts a blacked-out, phantom or powered-down slot.
+    Cycle wake = (next + l_ - 1) / l_ * l_;
     if (nextRefresh_ != kNoCycle) {
         if (next >= nextRefresh_) {
             // Mid-epoch: the REF burst issues one command per cycle,
@@ -628,25 +565,15 @@ FsScheduler::nextWakeCycle(Cycle now) const
             // the blackout armed when the naive loop would not).
             if (refreshRankCursor_ < dram_.numRanks())
                 return next;
-            wake = nextRefresh_ + refreshPause_;
+            wake = std::min(wake, nextRefresh_ + refreshPause_);
         } else {
-            wake = nextRefresh_;
+            wake = std::min(wake, nextRefresh_);
         }
     }
-    // Every multiple of l is a slot decision, even when it only
-    // counts a blacked-out, phantom or powered-down slot.
-    wake = std::min(wake, (next + l_ - 1) / l_ * l_);
-    // Pending planned commands. issueDue() matches cycles exactly, so
-    // an op whose cycle already passed un-issued can never fire and is
-    // no reason to wake — the naive loop ignores it identically.
-    for (const auto &op : planned_) {
-        if (!op.actIssued) {
-            if (op.actAt >= next)
-                wake = std::min(wake, op.actAt);
-        } else if (op.req && op.casAt >= next) {
-            wake = std::min(wake, op.casAt);
-        }
-    }
+    // Planned commands apply lazily (applyUpTo), so only a
+    // client-visible completion forces an executed cycle between
+    // decisions.
+    wake = std::min(wake, ring_.minCompletion());
     return std::max(wake, next);
 }
 
@@ -826,32 +753,12 @@ FsScheduler::restoreState(Deserializer &d)
     skewedOps_.restoreState(d);
 
     // Replay state is derived, never serialized: rebuild the event
-    // ring and the energy intervals from the restored plan. This is
-    // what makes checkpoints portable across sim.compiled modes.
-    if (compiledActive_) {
-        ring_->clear();
-        if (dram_.compiledEnergy().active())
-            dram_.compiledEnergy().clearIntervals();
-        bool ok = true;
-        for (PlannedOp &op : planned_) {
-            if (!op.req)
-                continue; // CAS already applied; interval is all past
-            if (dram_.compiledEnergy().active())
-                dram_.compiledEnergy().addInterval(op.req->loc.rank,
-                                                   op.actAt, op.casAt);
-            const Cycle completeAt =
-                op.req->client
-                    ? op.casAt + (op.write ? completeWriteDelta_
-                                           : completeReadDelta_)
-                    : kNoCycle;
-            if (!op.actIssued)
-                ok = ok && ring_->push({op.actAt, kNoCycle, &op, false});
-            ok = ok && ring_->push({op.casAt, completeAt, &op, true});
-        }
-        if (!ok) {
-            ++compiledFallbacks_;
-            disableCompiled();
-        }
+    // ring from the restored plan. This is what makes checkpoints
+    // portable across sim.compiled modes.
+    ring_.clear();
+    for (PlannedOp &op : planned_) {
+        if (op.req) // null: CAS already applied
+            enqueueReplay(op);
     }
 }
 

@@ -84,17 +84,16 @@ class FsScheduler : public Scheduler
     std::string name() const override;
     void registerStats(StatGroup &group) const override;
 
+    /**
+     * Proves this exact design point with the ScheduleVerifier:
+     * compile(l) for the frame, cross-checked against this
+     * scheduler's own template, plus verify(l) with refresh epochs
+     * when refresh is on. Declines while a fault injector is attached.
+     */
     bool enableCompiledReplay(const CompiledReplayOptions &opts) override;
-    bool compiledActive() const override { return compiledActive_; }
+    bool compiledActive() const override { return true; }
     void applyUpTo(Cycle now) override;
     uint64_t compiledCommands() const override { return compiledCmds_; }
-    uint64_t compiledFallbacks() const override
-    {
-        return compiledFallbacks_;
-    }
-
-    /** The verified table replay runs from (invalid when declined). */
-    const CompiledSchedule &compiledTable() const { return table_; }
 
     /**
      * Slot-skew injection point: real (non-dummy) operations planned
@@ -106,10 +105,6 @@ class FsScheduler : public Scheduler
     void attachFaultInjector(fault::FaultInjector *inj) override
     {
         injector_ = inj;
-        // Skewed command cycles invalidate the precompiled template;
-        // injection runs always take the interpreted path.
-        if (inj)
-            disableCompiled();
     }
 
     /** Apply deferred energy accounting (power-down credits). */
@@ -168,13 +163,10 @@ class FsScheduler : public Scheduler
     void plan(uint64_t slot, std::unique_ptr<mem::MemRequest> req,
               bool write, bool dummy, Cycle ref);
 
-    void issueDue(Cycle now);
     void frameBoundary(uint64_t frame, Cycle now);
 
-    /** Queue the op's ACT/CAS replay events; falls back on overflow. */
-    void enqueueReplay(PlannedOp &op, Cycle now);
-    /** Leave replay mode mid-run; the interpreted path resumes. */
-    void disableCompiled();
+    /** Queue the op's not-yet-applied ACT/CAS replay events. */
+    void enqueueReplay(PlannedOp &op);
 
     Params params_;
     core::PipelineSolution sol_;
@@ -218,19 +210,15 @@ class FsScheduler : public Scheduler
     unsigned refreshRankCursor_ = 0;
 
     /*
-     * Compiled-replay state (docs/PERF.md). All of it is derived:
-     * checkpoints serialize only planned_, and the ring and energy
-     * intervals are rebuilt on restore, which keeps checkpoint bytes
-     * identical across sim.compiled modes.
+     * Replay state (docs/PERF.md). Derived: checkpoints serialize only
+     * planned_, and the ring is rebuilt on restore, which keeps
+     * checkpoint bytes identical across sim.compiled modes.
      */
     CompiledMode compiledMode_ = CompiledMode::Off;
-    bool compiledActive_ = false;
-    CompiledSchedule table_;
-    std::unique_ptr<ReplayRing<PlannedOp>> ring_;
+    ReplayRing<PlannedOp> ring_{0};
     Cycle completeReadDelta_ = 0;  ///< casAt -> read data-burst end
     Cycle completeWriteDelta_ = 0; ///< casAt -> write data-burst end
-    uint64_t compiledCmds_ = 0;      ///< kernel accounting, not digest
-    uint64_t compiledFallbacks_ = 0; ///< replay -> interpreted drops
+    uint64_t compiledCmds_ = 0;    ///< kernel accounting, not digest
 
     Counter realOps_;
     Counter dummyOps_;

@@ -31,55 +31,37 @@ FsReorderedScheduler::FsReorderedScheduler(mem::MemoryController &mc,
     dummyRr_.assign(mc.numDomains(), 0);
     for (DomainId d = 0; d < mc.numDomains(); ++d)
         domainRng_.emplace_back(params.rngSeed * 0x517cc1b7u + d);
+    // An op's commands land within two intervals of its decision:
+    // at most two intervals of ops in flight, two events each.
+    ring_ = ReplayRing<PlannedOp>(4 * mc.numDomains());
 }
 
 bool
 FsReorderedScheduler::enableCompiledReplay(const CompiledReplayOptions &opts)
 {
-    if (opts.mode == CompiledMode::Off || compiledActive_)
-        return false;
     panic_if(!planned_.empty(), "enableCompiledReplay after ticking");
-    ring_ = std::make_unique<ReplayRing<PlannedOp>>(opts.ringCapacity);
     compiledMode_ = opts.mode;
-    compiledActive_ = true;
-    return true;
+    return false;
 }
 
 void
-FsReorderedScheduler::disableCompiled()
-{
-    compiledActive_ = false;
-    if (ring_)
-        ring_->clear();
-}
-
-void
-FsReorderedScheduler::enqueueReplay(PlannedOp &op, Cycle now)
+FsReorderedScheduler::enqueueReplay(PlannedOp &op)
 {
     // Clientless ops (dummies) retire silently at CAS apply; only a
     // client-visible completion needs an exact wake cycle. Reads use
     // the en-masse interval-end return, already in op.completeAt.
     const Cycle completeAt = op.req->client ? op.completeAt : kNoCycle;
-    if (ring_->push({op.actAt, kNoCycle, &op, false}) &&
-        ring_->push({op.casAt, completeAt, &op, true}))
-        return;
-    ++compiledFallbacks_;
-    mc_.recordError(
-        {now, "pool-exhausted",
-         "compiled replay ring capacity " +
-             std::to_string(ring_->capacity()) +
-             " exhausted; falling back to interpreted scheduling"});
-    disableCompiled();
+    if (!op.actIssued)
+        ring_.push({op.actAt, kNoCycle, &op, false});
+    ring_.push({op.casAt, completeAt, &op, true});
 }
 
 void
 FsReorderedScheduler::applyUpTo(Cycle now)
 {
-    if (!compiledActive_)
-        return;
-    while (!ring_->empty() && ring_->front().at <= now) {
-        const ReplayEvent<PlannedOp> ev = ring_->front();
-        ring_->pop();
+    while (!ring_.empty() && ring_.front().at <= now) {
+        const ReplayEvent<PlannedOp> ev = ring_.front();
+        ring_.pop();
         PlannedOp &op = *ev.op;
         panic_if(!op.req, "compiled replay lost its request");
         if (!ev.cas) {
@@ -250,42 +232,7 @@ FsReorderedScheduler::decideInterval(uint64_t interval, Cycle now)
                     worstData + (p.write ? off_.casWrite : off_.casRead),
                     p.write);
         planned_.push_back(std::move(op));
-        PlannedOp &queued = planned_.back();
-        // Compiled-energy intervals are fed at decision time for every
-        // op whenever the accountant is armed, replay-active or not:
-        // after a mid-run fallback the device still derives row
-        // residency from these spans.
-        if (dram_.compiledEnergy().active())
-            dram_.compiledEnergy().addInterval(queued.req->loc.rank,
-                                               queued.actAt,
-                                               queued.casAt);
-        if (compiledActive_)
-            enqueueReplay(queued, now);
-    }
-}
-
-void
-FsReorderedScheduler::issueDue(Cycle now)
-{
-    for (auto &op : planned_) {
-        if (!op.actIssued && op.actAt == now) {
-            Command act{CmdType::Act, op.req->loc.rank, op.req->loc.bank,
-                        op.req->loc.row, op.req->id, false};
-            dram_.issue(act, now);
-            op.actIssued = true;
-            return;
-        }
-        if (op.actIssued && op.req && op.casAt == now) {
-            const CmdType type = op.write ? CmdType::WrA : CmdType::RdA;
-            Command cas{type, op.req->loc.rank, op.req->loc.bank,
-                        op.req->loc.row, op.req->id, false};
-            dram_.issue(cas, now);
-            mc_.noteBurst(op.dummy);
-            mc_.finishRequest(std::move(op.req), op.completeAt);
-            return;
-        }
-        if (op.actAt > now && op.casAt > now)
-            break;
+        enqueueReplay(planned_.back());
     }
 }
 
@@ -294,10 +241,7 @@ FsReorderedScheduler::tick(Cycle now)
 {
     if (now % q_ == 0)
         decideInterval(now / q_, now);
-    if (compiledActive_)
-        applyUpTo(now); // ops this decide may have cycles == now
-    else
-        issueDue(now);
+    applyUpTo(now); // ops this decide may have cycles == now
     while (!planned_.empty() && !planned_.front().req)
         planned_.pop_front();
 }
@@ -308,20 +252,9 @@ FsReorderedScheduler::nextWakeCycle(Cycle now) const
     const Cycle next = now + 1;
     // Interval decisions happen at every multiple of q.
     Cycle wake = (next + q_ - 1) / q_ * q_;
-    if (compiledActive_) {
-        // Queued commands apply lazily; only a client-visible
-        // completion forces an executed cycle between intervals.
-        wake = std::min(wake, ring_->minCompletion());
-        return std::max(wake, next);
-    }
-    for (const auto &op : planned_) {
-        if (!op.actIssued) {
-            if (op.actAt >= next)
-                wake = std::min(wake, op.actAt);
-        } else if (op.req && op.casAt >= next) {
-            wake = std::min(wake, op.casAt);
-        }
-    }
+    // Queued commands apply lazily (applyUpTo); only a client-visible
+    // completion forces an executed cycle between intervals.
+    wake = std::min(wake, ring_.minCompletion());
     return std::max(wake, next);
 }
 
@@ -411,29 +344,12 @@ FsReorderedScheduler::restoreState(Deserializer &d)
     hazardDeferrals_.restoreState(d);
 
     // Replay state is derived, never serialized: rebuild the event
-    // ring and the energy intervals from the restored plan. This is
-    // what makes checkpoints portable across sim.compiled modes.
-    if (compiledActive_) {
-        ring_->clear();
-        if (dram_.compiledEnergy().active())
-            dram_.compiledEnergy().clearIntervals();
-        bool ok = true;
-        for (PlannedOp &op : planned_) {
-            if (!op.req)
-                continue; // CAS already applied; interval is all past
-            if (dram_.compiledEnergy().active())
-                dram_.compiledEnergy().addInterval(op.req->loc.rank,
-                                                   op.actAt, op.casAt);
-            const Cycle completeAt =
-                op.req->client ? op.completeAt : kNoCycle;
-            if (!op.actIssued)
-                ok = ok && ring_->push({op.actAt, kNoCycle, &op, false});
-            ok = ok && ring_->push({op.casAt, completeAt, &op, true});
-        }
-        if (!ok) {
-            ++compiledFallbacks_;
-            disableCompiled();
-        }
+    // ring from the restored plan. This is what makes checkpoints
+    // portable across sim.compiled modes.
+    ring_.clear();
+    for (PlannedOp &op : planned_) {
+        if (op.req) // null: CAS already applied
+            enqueueReplay(op);
     }
 }
 

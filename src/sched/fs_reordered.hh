@@ -43,19 +43,14 @@ class FsReorderedScheduler : public Scheduler
      * Reordered FS has no hyperperiod slot table the verifier can
      * unroll: the interval's command layout depends on the domains'
      * read/write mix, so the template is solver-derived per interval
-     * rather than statically enumerable. Replay therefore reuses the
-     * decide-time command cycles verbatim (exactly what the
-     * interpreted path would issue) and `sim.compiled=verify`
-     * re-checks every command against the dynamic TimingChecker.
+     * rather than statically enumerable. There is no static proof:
+     * the offer only arms Verify's completion asserts, and every
+     * command stays audited by the TimingChecker.
      */
     bool enableCompiledReplay(const CompiledReplayOptions &opts) override;
-    bool compiledActive() const override { return compiledActive_; }
+    bool compiledActive() const override { return true; }
     void applyUpTo(Cycle now) override;
     uint64_t compiledCommands() const override { return compiledCmds_; }
-    uint64_t compiledFallbacks() const override
-    {
-        return compiledFallbacks_;
-    }
 
     Cycle intervalLength() const { return q_; }
     const core::ReorderedSolution &solution() const { return sol_; }
@@ -84,12 +79,9 @@ class FsReorderedScheduler : public Scheduler
                      Cycle casAt, bool write);
     std::unique_ptr<mem::MemRequest> makeDummy(DomainId domain, bool write,
                                                Cycle actAt, Cycle now);
-    void issueDue(Cycle now);
 
-    /** Queue the op's ACT/CAS replay events; falls back on overflow. */
-    void enqueueReplay(PlannedOp &op, Cycle now);
-    /** Leave replay mode mid-run; the interpreted path resumes. */
-    void disableCompiled();
+    /** Queue the op's not-yet-applied ACT/CAS replay events. */
+    void enqueueReplay(PlannedOp &op);
 
     Params params_;
     core::ReorderedSolution sol_;
@@ -103,16 +95,13 @@ class FsReorderedScheduler : public Scheduler
     std::vector<size_t> dummyRr_;
 
     /*
-     * Compiled-replay state (docs/PERF.md). Derived, never serialized:
-     * checkpoints carry only planned_, and the event ring plus energy
-     * intervals are rebuilt on restore, which keeps checkpoint bytes
-     * identical across sim.compiled modes.
+     * Replay state (docs/PERF.md). Derived: checkpoints serialize only
+     * planned_, and the ring is rebuilt on restore, which keeps
+     * checkpoint bytes identical across sim.compiled modes.
      */
     CompiledMode compiledMode_ = CompiledMode::Off;
-    bool compiledActive_ = false;
-    std::unique_ptr<ReplayRing<PlannedOp>> ring_;
-    uint64_t compiledCmds_ = 0;      ///< kernel accounting, not digest
-    uint64_t compiledFallbacks_ = 0; ///< replay -> interpreted drops
+    ReplayRing<PlannedOp> ring_{0};
+    uint64_t compiledCmds_ = 0; ///< kernel accounting, not digest
 
     Counter realOps_;
     Counter dummyOps_;

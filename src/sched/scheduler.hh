@@ -26,11 +26,12 @@ class FaultInjector;
 
 namespace memsec::sched {
 
-/** How a policy should run table-driven replay (docs/PERF.md). */
+/** The sim.compiled mode offered to a policy (docs/PERF.md). */
 struct CompiledReplayOptions
 {
     CompiledMode mode = CompiledMode::Off;
-    /** Pending-command ring capacity (config sim.compiled_ring). */
+    /** No longer read: the replay ring reserves a bound derived from
+     *  the schedule and grows past it. Kept for source compatibility. */
     size_t ringCapacity = 64;
 };
 
@@ -64,14 +65,14 @@ class Scheduler
     virtual std::string name() const = 0;
 
     /**
-     * Ask the policy to run in table-driven replay mode: commands are
-     * enqueued at decision time with precomputed cycles and applied
-     * lazily in global timestamp order via applyUpTo(), instead of
-     * being rediscovered by per-cycle scanning. Only policies whose
-     * schedule is a verified fixed template (the FS family, TP) can
-     * accept; the default — and any design point the policy cannot
-     * prove (refresh epochs, fault injection) — declines and keeps the
-     * interpreted path. Must be called before the first tick.
+     * Offer the run's sim.compiled mode (docs/PERF.md). Replaying
+     * policies (the FS family, TP) issue every command through their
+     * replay ring whatever the mode; the offer only arms Verify's
+     * completion-prediction asserts. Returns true only when the
+     * ScheduleVerifier proved this exact design point, which is what
+     * lets sim.compiled=on skip the TimingChecker
+     * (DramSystem::setCompiledMode). The default declines. Must be
+     * called before the first tick.
      */
     virtual bool enableCompiledReplay(const CompiledReplayOptions &opts)
     {
@@ -79,21 +80,20 @@ class Scheduler
         return false;
     }
 
-    /** True while table-driven replay is driving this policy. A
-     *  policy may drop back to interpreted mode mid-run (ring
-     *  overflow); the controller re-checks every tick. */
+    /** True for policies that issue through a replay ring. */
     virtual bool compiledActive() const { return false; }
 
     /**
      * Apply every queued replay command with cycle <= now to the DRAM
-     * model, in global timestamp order. Called by the controller at
-     * the top of each executed tick and on fast-forward jumps, so the
-     * device round-trips through exactly the states the interpreted
-     * path would have produced. No-op unless compiledActive().
+     * model, in global timestamp order. The controller calls it at the
+     * top of each executed tick and before each fast-forward span's
+     * energy is settled. No-op for policies without a ring.
      */
     virtual void applyUpTo(Cycle now) { (void)now; }
 
-    /** Kernel accounting (never part of the result digest). */
+    /** Kernel accounting (never part of the result digest): commands
+     *  applied through the replay ring, and fallbacks out of it (none
+     *  exist any more; always 0, kept for source compatibility). */
     virtual uint64_t compiledCommands() const { return 0; }
     virtual uint64_t compiledFallbacks() const { return 0; }
 

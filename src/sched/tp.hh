@@ -49,21 +49,15 @@ class TpScheduler : public Scheduler
     void registerStats(StatGroup &group) const override;
 
     /**
-     * TP replay has no hyperperiod table to unroll (slots are anchored
-     * per turn and gated by the planned bank-reuse horizon), so there
-     * is no static proof artifact; replay trusts the same
-     * solver-derived in-turn offsets the interpreted path trusts, and
-     * `sim.compiled=verify` re-checks every command against the
-     * dynamic TimingChecker.
+     * TP has no hyperperiod table to unroll (slots are anchored per
+     * turn and gated by the planned bank-reuse horizon), so there is
+     * no static proof: the offer only arms Verify's completion
+     * asserts, and every command stays audited by the TimingChecker.
      */
     bool enableCompiledReplay(const CompiledReplayOptions &opts) override;
-    bool compiledActive() const override { return compiledActive_; }
+    bool compiledActive() const override { return true; }
     void applyUpTo(Cycle now) override;
     uint64_t compiledCommands() const override { return compiledCmds_; }
-    uint64_t compiledFallbacks() const override
-    {
-        return compiledFallbacks_;
-    }
 
     /** Domain whose turn covers cycle `now`. */
     DomainId activeDomain(Cycle now) const;
@@ -97,12 +91,9 @@ class TpScheduler : public Scheduler
     bool bankFree(unsigned rank, unsigned bank, Cycle actAt) const;
     void reserveBank(unsigned rank, unsigned bank, Cycle actAt,
                      Cycle casAt, bool write);
-    void issueDue(Cycle now);
 
-    /** Queue the op's ACT/CAS replay events; falls back on overflow. */
-    void enqueueReplay(PlannedOp &op, Cycle now);
-    /** Leave replay mode mid-run; the interpreted path resumes. */
-    void disableCompiled();
+    /** Queue the op's not-yet-applied ACT/CAS replay events. */
+    void enqueueReplay(PlannedOp &op);
 
     Params params_;
     bool sharedBanks_ = false;
@@ -115,18 +106,15 @@ class TpScheduler : public Scheduler
     std::vector<Cycle> plannedBankFree_;
 
     /*
-     * Compiled-replay state (docs/PERF.md). Derived, never serialized:
-     * checkpoints carry only planned_, and the event ring plus energy
-     * intervals are rebuilt on restore, which keeps checkpoint bytes
-     * identical across sim.compiled modes.
+     * Replay state (docs/PERF.md). Derived: checkpoints serialize only
+     * planned_, and the ring is rebuilt on restore, which keeps
+     * checkpoint bytes identical across sim.compiled modes.
      */
     CompiledMode compiledMode_ = CompiledMode::Off;
-    bool compiledActive_ = false;
-    std::unique_ptr<ReplayRing<PlannedOp>> ring_;
+    ReplayRing<PlannedOp> ring_{0};
     Cycle completeReadDelta_ = 0;  ///< casAt -> read data-burst end
     Cycle completeWriteDelta_ = 0; ///< casAt -> write data-burst end
-    uint64_t compiledCmds_ = 0;      ///< kernel accounting, not digest
-    uint64_t compiledFallbacks_ = 0; ///< replay -> interpreted drops
+    uint64_t compiledCmds_ = 0;    ///< kernel accounting, not digest
 
     Counter turns_;
     Counter served_;

@@ -49,96 +49,4 @@ CompiledSchedule::describe() const
     return os.str();
 }
 
-void
-CompiledEnergyAccountant::configure(unsigned ranks, size_t capacityPerRank)
-{
-    capacityPerRank_ = capacityPerRank;
-    lanes_.assign(ranks, {});
-    for (auto &lane : lanes_)
-        lane.reserve(capacityPerRank_ + 1);
-}
-
-void
-CompiledEnergyAccountant::deactivate()
-{
-    lanes_.clear();
-    capacityPerRank_ = 0;
-}
-
-void
-CompiledEnergyAccountant::addInterval(unsigned rank, Cycle from, Cycle to)
-{
-    panic_if(rank >= lanes_.size(),
-             "CompiledEnergyAccountant: rank {} out of range", rank);
-    panic_if(from >= to,
-             "CompiledEnergyAccountant: empty interval [{}, {})", from,
-             to);
-    auto &lane = lanes_[rank];
-
-    // Insert keeping the lane sorted by start cycle.
-    auto pos = std::upper_bound(
-        lane.begin(), lane.end(), from,
-        [](Cycle f, const Interval &iv) { return f < iv.from; });
-
-    // Merge with the predecessor if it touches [from, to).
-    bool merged = false;
-    if (pos != lane.begin()) {
-        auto prev = std::prev(pos);
-        if (prev->to >= from) {
-            if (to > prev->to)
-                prev->to = to;
-            pos = prev;
-            merged = true;
-        }
-    }
-    if (!merged) {
-        fatal_if(lane.size() >= capacityPerRank_,
-                 "CompiledEnergyAccountant: rank {} interval backlog "
-                 "exceeds {}; raise sim.compiled_intervals or set "
-                 "sim.compiled=off",
-                 rank, capacityPerRank_);
-        pos = lane.insert(pos, Interval{from, to});
-    }
-
-    // Swallow successors the (possibly grown) interval now reaches.
-    auto next = std::next(pos);
-    while (next != lane.end() && next->from <= pos->to) {
-        if (next->to > pos->to)
-            pos->to = next->to;
-        next = lane.erase(next);
-    }
-}
-
-uint64_t
-CompiledEnergyAccountant::activeCyclesIn(unsigned rank, Cycle spanFrom,
-                                         Cycle spanTo)
-{
-    panic_if(rank >= lanes_.size(),
-             "CompiledEnergyAccountant: rank {} out of range", rank);
-    auto &lane = lanes_[rank];
-    uint64_t active = 0;
-    size_t consumed = 0;
-    for (const auto &iv : lane) {
-        if (iv.from >= spanTo)
-            break;
-        if (iv.to > spanFrom)
-            active += std::min(iv.to, spanTo) -
-                      std::max(iv.from, spanFrom);
-        if (iv.to <= spanTo)
-            ++consumed; // fully behind the span frontier: retire it
-        else
-            break; // straddles spanTo; later spans take the rest
-    }
-    if (consumed > 0)
-        lane.erase(lane.begin(), lane.begin() + consumed);
-    return active;
-}
-
-void
-CompiledEnergyAccountant::clearIntervals()
-{
-    for (auto &lane : lanes_)
-        lane.clear();
-}
-
 } // namespace memsec

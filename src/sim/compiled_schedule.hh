@@ -1,6 +1,7 @@
 /**
  * @file
- * Precompiled slot tables and replay machinery for the FS fast path.
+ * Precompiled slot tables and the command replay ring of the
+ * fixed-service schedulers.
  *
  * The paper's central observation — a fixed service schedule is a
  * *fixed per-cycle template over a known hyperperiod* — means an FS/TP
@@ -11,20 +12,20 @@
  *    flattened to per-slot command-cycle deltas. Emitted by
  *    analysis::ScheduleVerifier::compile(), which first re-proves the
  *    template conflict-free over the hyperperiod, so a table is only
- *    ever produced from a verified schedule.
- *  - ReplayRing: a fixed-capacity, timestamp-sorted queue of pending
- *    command occurrences. Schedulers enqueue at decision time and the
- *    controller drains lazily in global timestamp order, so device
- *    state at every apply is identical to the interpreted path.
- *  - CompiledEnergyAccountant: per-rank active-residency intervals
- *    ([actAt, casAt) under closed-row auto-precharge), fed at decision
- *    time and consumed by contiguous spans, replacing per-cycle
- *    power-state sampling with interval arithmetic.
+ *    ever produced from a verified schedule. FsScheduler checks its
+ *    own template against it before sim.compiled=on may skip the
+ *    TimingChecker.
+ *  - ReplayRing: a timestamp-sorted queue of pending command
+ *    occurrences. The FS family and TP enqueue both commands of an
+ *    operation when they decide it, and the controller applies them
+ *    in global timestamp order (applyUpTo), so this ring is the only
+ *    way those policies issue ACT/CAS — under every sim.compiled mode.
  *
- * All of this is derived state: checkpoints serialize only the
- * interpreted representation (the planned-op deque), and replay state
- * is rebuilt on restore, which is what makes checkpoints portable
- * across sim.compiled modes.
+ * sim.compiled decides only how much of that stream is audited: the
+ * ring, the wake hints and the energy books are the same in all three
+ * modes. The ring is derived state: checkpoints serialize only the
+ * schedulers' planned-op deques and the ring is rebuilt on restore,
+ * which keeps checkpoints portable across sim.compiled modes.
  */
 
 #ifndef MEMSEC_SIM_COMPILED_SCHEDULE_HH
@@ -43,9 +44,10 @@ namespace memsec {
 /** How a run uses the compiled table (config key sim.compiled). */
 enum class CompiledMode : uint8_t
 {
-    Off,    ///< interpreted scheduling only
-    On,     ///< table-driven replay; TimingChecker not consulted
-    Verify, ///< replay, but every command still audited + predictions
+    Off,    ///< every command audited by the TimingChecker
+    On,     ///< audit skipped where the ScheduleVerifier proved the
+            ///  design point; audited everywhere else
+    Verify, ///< every command audited, and completion predictions
             ///  asserted against the device model
 };
 
@@ -78,7 +80,7 @@ struct CompiledSlot
 /**
  * A verified, flattened frame of the FS template plus the proof
  * provenance it was emitted under. `valid` is false when verification
- * failed (callers must then stay on the interpreted path).
+ * failed (the TimingChecker must then keep auditing every command).
  */
 struct CompiledSchedule
 {
@@ -110,10 +112,11 @@ struct ReplayEvent
 };
 
 /**
- * Fixed-capacity queue of ReplayEvents kept sorted by issue cycle.
- * Storage is reserved once at construction; steady-state push/pop do
- * not allocate. push() refuses (returns false) at capacity — the
- * caller falls back to interpreted scheduling, it never loses events.
+ * Queue of ReplayEvents kept sorted by issue cycle. Storage for the
+ * schedule's in-flight bound is reserved at construction, so
+ * steady-state push/pop do not allocate; a burst beyond the bound
+ * (slot-skew injection delays ops) grows the storage instead of
+ * losing events.
  *
  * Op pointers must stay stable while queued; std::deque elements
  * (the schedulers' planned-op queues) satisfy that under push_back /
@@ -123,27 +126,20 @@ template <typename Op>
 class ReplayRing
 {
   public:
-    explicit ReplayRing(size_t capacity) : capacity_(capacity)
-    {
-        events_.reserve(capacity_ + 1);
-    }
+    explicit ReplayRing(size_t reserve) { events_.reserve(reserve); }
 
-    size_t capacity() const { return capacity_; }
     size_t size() const { return events_.size(); }
     bool empty() const { return events_.empty(); }
 
-    /** Sorted insert (stable for equal cycles); false when full. */
-    bool push(const ReplayEvent<Op> &ev)
+    /** Sorted insert (stable for equal cycles). */
+    void push(const ReplayEvent<Op> &ev)
     {
-        if (events_.size() >= capacity_)
-            return false;
         auto pos = std::upper_bound(
             events_.begin(), events_.end(), ev,
             [](const ReplayEvent<Op> &a, const ReplayEvent<Op> &b) {
                 return a.at < b.at;
             });
         events_.insert(pos, ev);
-        return true;
     }
 
     const ReplayEvent<Op> &front() const
@@ -177,60 +173,7 @@ class ReplayRing
     void clear() { events_.clear(); }
 
   private:
-    size_t capacity_ = 0;
     std::vector<ReplayEvent<Op>> events_; ///< ascending by `at`
-};
-
-/**
- * Per-rank active-residency intervals for compiled energy accounting.
- *
- * Under FS closed-row policy a bank is open exactly over [actAt,
- * casAt) — the ACT opens the row at issue, the auto-precharge CAS
- * closes it at issue — so rank power state is derivable at decision
- * time, before any command touches the device. Schedulers add one
- * interval per planned op; the controller consumes the timeline in
- * contiguous ascending spans (one per executed cycle or fast-forward
- * jump) and splits each span into active vs precharge-standby cycles.
- *
- * Overlapping and adjacent intervals merge on insert (multiple banks
- * of one rank active at once must not double-count), so the per-rank
- * backlog stays at most a handful of entries; capacity overflow is a
- * hard error rather than a silent approximation.
- */
-class CompiledEnergyAccountant
-{
-  public:
-    /** Inactive until configured. */
-    CompiledEnergyAccountant() = default;
-
-    void configure(unsigned ranks, size_t capacityPerRank);
-    void deactivate();
-    bool active() const { return !lanes_.empty(); }
-
-    /** Record rank active over [from, to); merges into the timeline. */
-    void addInterval(unsigned rank, Cycle from, Cycle to);
-
-    /**
-     * Account the span [spanFrom, spanTo) against rank's timeline:
-     * returns the number of active cycles inside the span and drops
-     * intervals that end within it. Spans must arrive in ascending,
-     * non-overlapping order (the simulator's executed-cycle / jump
-     * sequence provides exactly that).
-     */
-    uint64_t activeCyclesIn(unsigned rank, Cycle spanFrom, Cycle spanTo);
-
-    /** Drop all recorded intervals (checkpoint restore rebuilds). */
-    void clearIntervals();
-
-  private:
-    struct Interval
-    {
-        Cycle from = 0;
-        Cycle to = 0;
-    };
-
-    size_t capacityPerRank_ = 0;
-    std::vector<std::vector<Interval>> lanes_; ///< ascending, disjoint
 };
 
 } // namespace memsec

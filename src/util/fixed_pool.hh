@@ -2,21 +2,21 @@
  * @file
  * Fixed-capacity object pool for allocation-free steady state.
  *
- * The compiled-replay hot path (docs/PERF.md) must not touch the heap
- * once a run reaches steady state: a slot is decided, its commands are
- * queued, applied, and retired, and every object involved should come
- * from storage that was sized up front. FixedPool provides that
+ * The FS/TP issue path (docs/PERF.md) must not touch the heap once a
+ * run reaches steady state: a slot is decided, its commands are queued
+ * in the replay ring, applied, and retired, and every object involved
+ * should come from storage that was sized up front. FixedPool provides that
  * storage: objects are constructed lazily up to a hard capacity and
  * recycled through a free list; exhaustion is a *structured*
  * condition (tryAcquire() returns nullptr, overflowError() describes
  * it as a SimError) rather than UB or an unbounded allocation.
  *
  * Ownership transfers with the object: tryAcquire() hands out a
- * unique_ptr, release() takes it back for reuse. Callers that need
- * graceful degradation pair the pool with a heap fallback and route
- * returns by provenance (MemoryController's dummy-request recycling);
- * callers with a hard budget (ReplayRing) surface the SimError and
- * fall back to the interpreted path.
+ * unique_ptr, release() takes it back for reuse. Callers pair the pool
+ * with a heap fallback and route returns by provenance
+ * (MemoryController's dummy-request recycling). The replay ring itself
+ * needs no pool: it reserves its schedule-derived bound up front and
+ * grows past it rather than refusing an event.
  */
 
 #ifndef MEMSEC_UTIL_FIXED_POOL_HH

@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "dram/timing.hh"
 #include "harness/campaign.hh"
 #include "harness/experiment.hh"
 #include "util/serialize.hh"
@@ -222,10 +223,11 @@ TEST(CheckpointDiff, ThreeWayNaiveFastForwardRestored)
 // -- Compiled replay (sim.compiled) across checkpoint boundaries ---
 //
 // Checkpoints serialize only the planned-operation deque; the replay
-// event ring and the compiled-energy intervals are derived state,
-// rebuilt in restoreState(). These tests prove the rebuild is exact:
-// chunked compiled runs and cross-mode restores land on the naive
-// interpreted digest byte for byte.
+// event ring is derived state, rebuilt in restoreState(), and each
+// rank's energy cursor is the sum of its serialized residency
+// counters. These tests prove the rebuild is exact: chunked compiled
+// runs and cross-mode restores land on the naive digest byte for
+// byte.
 
 TEST(CheckpointDiff, CompiledReplaySurvivesRestores)
 {
@@ -242,12 +244,49 @@ TEST(CheckpointDiff, CompiledReplaySurvivesRestores)
     }
 }
 
-// Save under the interpreted path, restore into a compiled-replay
-// system: the restored scheduler must adopt the mid-flight plan into
-// its freshly built event ring and continue digest-identically. (The
-// reverse direction — save under `on`, restore under off/verify — is
+// Refresh epochs carry scheduler state (epoch cursor, REF burst
+// position) and device state (tRFC windows) across a snapshot, and
+// power-down credits ride along. Chop a compiled run inside the first
+// epoch's REF burst and inside the second epoch's tRFC pause; it must
+// land on the naive digest.
+TEST(CheckpointDiff, CompiledRefreshChoppedInsideEpochs)
+{
+    Config naive = diffConfig("fs_rp_powerdown", "mix2", 1);
+    naive.set("dram.refresh", true);
+    naive.set("sim.fastforward", false);
+    const ExperimentResult plain = runExperiment(naive);
+
+    Config compiled = naive;
+    compiled.set("sim.fastforward", true);
+    compiled.set("sim.compiled", "on");
+    // The FS epoch starts at k * tREFI with one REF per rank per
+    // cycle, then pauses for tRFC.
+    const Cycle refi = dram::TimingParams::ddr3_1600_4gb().refi;
+    auto sys = std::make_unique<ExperimentSystem>(compiled);
+    for (const Cycle chop : {refi + 3, 2 * refi + 100}) {
+        sys->step(chop - sys->now());
+        ASSERT_EQ(sys->now(), chop);
+        ASSERT_FALSE(sys->done());
+        Serializer s;
+        sys->saveState(s);
+        auto fresh = std::make_unique<ExperimentSystem>(compiled);
+        Deserializer d(s.data());
+        fresh->restoreState(d);
+        sys = std::move(fresh);
+    }
+    while (!sys->done())
+        sys->step(4000);
+    const ExperimentResult res = sys->finish();
+    EXPECT_EQ(resultDigest(plain), resultDigest(res));
+    EXPECT_GT(res.compiledCommands, 0u);
+}
+
+// Save under sim.compiled=off, restore into an `on` system: the
+// restored scheduler must adopt the mid-flight plan into its freshly
+// built event ring and continue digest-identically. (The reverse
+// direction — save under `on`, restore under off/verify — is
 // unsupported: the dynamic TimingChecker's shadow state was never fed
-// while replay skipped it; see docs/CHECKPOINT.md.)
+// while `on` skipped it; see docs/CHECKPOINT.md.)
 TEST(CheckpointDiff, CrossModeInterpretedSaveCompiledRestore)
 {
     for (const char *scheme : {"fs_rp", "tp_bp", "fs_reordered_bp"}) {

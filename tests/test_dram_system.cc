@@ -143,6 +143,143 @@ TEST_F(DramSystemTest, TickAccumulatesEnergyResidency)
     EXPECT_EQ(sys.rank(0).energy().cyclesPrecharge, 100u);
 }
 
+// ---- Energy residency: lazily applied commands vs per-cycle ticks --
+//
+// Replayed commands reach the device inside fast-forward spans, after
+// the cycles around them were skipped. issue() settles the rank up to
+// the command's cycle first, so every mix of executed cycles, skipped
+// spans and commands applied inside them must leave the residency
+// counters exactly where per-cycle ticking leaves them.
+
+namespace {
+
+struct TimedCommand
+{
+    Cycle at = 0;
+    Command cmd;
+};
+
+/** Naive loop: every cycle issues its commands, then ticks. */
+void
+runPerCycle(DramSystem &dram, const std::vector<TimedCommand> &script,
+            Cycle end)
+{
+    size_t next = 0;
+    for (Cycle t = 0; t < end; ++t) {
+        for (; next < script.size() && script[next].at == t; ++next)
+            dram.issue(script[next].cmd, t);
+        dram.tick(t);
+    }
+}
+
+/**
+ * Fast-forward loop: only the `executed` cycles tick; every other
+ * span is skipped in one fastForwardEnergy() call, with the commands
+ * that fall inside it applied first, as MemoryController::fastForward
+ * does with the replay ring.
+ */
+void
+runSkipping(DramSystem &dram, const std::vector<TimedCommand> &script,
+            Cycle end, const std::vector<Cycle> &executed)
+{
+    size_t next = 0;
+    Cycle t = 0;
+    size_t e = 0;
+    while (t < end) {
+        const bool tick = e < executed.size() && executed[e] == t;
+        const Cycle to = tick ? t + 1
+                              : (e < executed.size() ? executed[e] : end);
+        for (; next < script.size() && script[next].at < to; ++next)
+            dram.issue(script[next].cmd, script[next].at);
+        if (tick) {
+            dram.tick(t);
+            ++e;
+        } else {
+            dram.fastForwardEnergy(t, to);
+        }
+        t = to;
+    }
+}
+
+void
+expectSameResidency(const std::vector<TimedCommand> &script, Cycle end,
+                    const std::vector<Cycle> &executed)
+{
+    const auto tp = TimingParams::ddr3_1600_4gb();
+    DramSystem naive(tp, Geometry{});
+    DramSystem lazy(tp, Geometry{});
+    runPerCycle(naive, script, end);
+    runSkipping(lazy, script, end, executed);
+    for (unsigned r = 0; r < naive.numRanks(); ++r) {
+        const RankEnergyCounters &a = naive.rank(r).energy();
+        const RankEnergyCounters &b = lazy.rank(r).energy();
+        EXPECT_EQ(a.cyclesActive, b.cyclesActive) << "rank " << r;
+        EXPECT_EQ(a.cyclesPrecharge, b.cyclesPrecharge) << "rank " << r;
+        EXPECT_EQ(a.cyclesPowerDown, b.cyclesPowerDown) << "rank " << r;
+        EXPECT_EQ(a.cyclesRefreshing, b.cyclesRefreshing) << "rank " << r;
+        EXPECT_EQ(a.activates, b.activates) << "rank " << r;
+        EXPECT_EQ(a.refreshes, b.refreshes) << "rank " << r;
+        EXPECT_EQ(lazy.rank(r).energyCursor(), end) << "rank " << r;
+    }
+}
+
+Command
+command(CmdType t, unsigned rank, unsigned bank, unsigned row = 0)
+{
+    return Command{t, rank, bank, row, 0, false};
+}
+
+} // namespace
+
+TEST(DramSystemEnergy, CommandInsideFastForwardSpan)
+{
+    const auto tp = TimingParams::ddr3_1600_4gb();
+    // Two overlapping read transactions on one rank, one on another.
+    const std::vector<TimedCommand> script = {
+        {10, command(CmdType::Act, 0, 0, 5)},
+        {10 + tp.rrd, command(CmdType::Act, 0, 1, 7)},
+        {10 + tp.rcd, command(CmdType::RdA, 0, 0, 5)},
+        {10 + tp.rrd + tp.rcd, command(CmdType::RdA, 0, 1, 7)},
+        {40, command(CmdType::Act, 3, 2, 1)},
+        {40 + tp.rcd, command(CmdType::WrA, 3, 2, 1)},
+    };
+    expectSameResidency(script, 200, {});             // one jump
+    expectSameResidency(script, 200, {0, 10, 27, 99}); // mixed
+}
+
+TEST(DramSystemEnergy, CommandInsideRefreshWindow)
+{
+    const auto tp = TimingParams::ddr3_1600_4gb();
+    // REF on rank 1 mid-span; the span ends inside tRFC, the next one
+    // covers its completion and an ACT right after it.
+    const Cycle ref = 20;
+    const std::vector<TimedCommand> script = {
+        {ref, command(CmdType::Ref, 1, 0)},
+        {ref + 1, command(CmdType::Ref, 2, 0)},
+        {ref + tp.rfc + 3, command(CmdType::Act, 1, 0, 4)},
+        {ref + tp.rfc + 3 + tp.rcd, command(CmdType::RdA, 1, 0, 4)},
+    };
+    const Cycle end = ref + tp.rfc + 100;
+    expectSameResidency(script, end, {});
+    expectSameResidency(script, end, {ref + tp.rfc / 2, ref + tp.rfc});
+}
+
+TEST(DramSystemEnergy, CommandInsidePowerDownSpan)
+{
+    const auto tp = TimingParams::ddr3_1600_4gb();
+    const Cycle pde = 30;
+    const Cycle pdx = pde + tp.cke + 50;
+    const std::vector<TimedCommand> script = {
+        {pde, command(CmdType::PdEnter, 2, 0)},
+        {pdx, command(CmdType::PdExit, 2, 0)},
+        {pdx + tp.xp, command(CmdType::Act, 2, 3, 8)},
+        {pdx + tp.xp + tp.rcd, command(CmdType::RdA, 2, 3, 8)},
+    };
+    const Cycle end = pdx + 150;
+    expectSameResidency(script, end, {});
+    expectSameResidency(script, end, {pde, pde + 1, pdx + 2});
+}
+
 TEST_F(DramSystemTest, DataBusUtilisationCounted)
 {
     const auto &tp = sys.timing();

@@ -13,11 +13,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 
 #include "analysis/noninterference_certifier.hh"
 #include "core/noninterference.hh"
+#include "core/pipeline_solver.hh"
 #include "cpu/trace_file.hh"
 #include "dram/dram_system.hh"
 #include "fault/fault_injector.hh"
@@ -301,6 +306,68 @@ TEST(SlotSkew, InjectedSkewBreaksNoninterference)
     const auto audit = core::compareTimelines(quiet, noisy);
     EXPECT_FALSE(audit.identical)
         << "slot-skew injection went undetected by the audit";
+}
+
+namespace {
+
+/** Value of `name` in a stats.dump file (aborts the test if absent). */
+double
+dumpedStat(const std::string &path, const std::string &name)
+{
+    std::ifstream in(path);
+    std::string line;
+    while (std::getline(in, line)) {
+        std::istringstream fields(line);
+        std::string key;
+        double value = 0.0;
+        if (fields >> key >> value && key == name)
+            return value;
+    }
+    ADD_FAILURE() << name << " missing from " << path;
+    return 0.0;
+}
+
+} // namespace
+
+TEST(SlotSkew, EveryPlannedDummyIsIssued)
+{
+    // A skewed real op issues later than ops planned after it. Every
+    // planned command must still reach the device — a same-cycle
+    // collision is an illegal issue, recorded — so the only dummies
+    // without a data burst are the ones still in the slot pipeline
+    // when the run ends.
+    const std::string dump =
+        ::testing::TempDir() + "memsec-slot-skew-stats.txt";
+    Config c = harness::defaultConfig();
+    c.merge(harness::schemeConfig("fs_rp"));
+    c.set("workload", "mcf");
+    c.set("cores", 4);
+    c.set("sim.warmup", 1500);
+    c.set("sim.measure", 12000);
+    c.set("fault.kind", "slot-skew");
+    c.set("fault.magnitude", 20);
+    c.set("stats.dump", dump);
+    const harness::ExperimentResult r = harness::runExperiment(c);
+    EXPECT_GT(r.faultsInjected, 0u);
+
+    const double planned = dumpedStat(dump, "mc0.sched.dummy_ops");
+    const double issued = dumpedStat(dump, "mc0.dummy_bursts");
+    std::remove(dump.c_str());
+
+    // Ops in flight: slots decided within one command lead of the
+    // end, whose CAS cycle lies beyond it (dummies are never skewed).
+    const core::PipelineSolver solver(tp);
+    const core::PipelineSolution sol =
+        solver.solveBest(core::PartitionLevel::Rank);
+    const auto &off = sol.offsets;
+    const int minOff = std::min(
+        {off.actRead, off.actWrite, off.casRead, off.casWrite, 0});
+    const double inFlight =
+        static_cast<double>((off.casRead - minOff) / sol.l + 1);
+    EXPECT_GT(planned, 0.0);
+    EXPECT_LE(planned - issued, inFlight)
+        << planned << " dummy ops planned, " << issued
+        << " dummy bursts issued";
 }
 
 // ---------------------------------------------------------------------

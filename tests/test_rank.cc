@@ -113,11 +113,11 @@ TEST(Rank, EnergyTickAccumulatesByState)
 {
     Rank r(8, tp);
     for (Cycle t = 0; t < 10; ++t)
-        r.tickEnergy(t);
+        r.accountEnergySpan(t, t + 1);
     EXPECT_EQ(r.energy().cyclesPrecharge, 10u);
     r.bank(0).doActivate(10, 1, tp);
     for (Cycle t = 10; t < 15; ++t)
-        r.tickEnergy(t);
+        r.accountEnergySpan(t, t + 1);
     EXPECT_EQ(r.energy().cyclesActive, 5u);
 }
 

@@ -83,6 +83,17 @@ TEST(RefreshFs, EpochStealsBoundedSlots)
     EXPECT_LT(g.lookup("skipped_slots"), 80.0);
 }
 
+TEST(RefreshFs, RefreshDesignPointIsProven)
+{
+    // sim.compiled=on may skip the audit of a refresh run only because
+    // verify(l) covers the epochs over the refresh hyperperiod; the
+    // proof must go through for the paper's rank-partitioned point.
+    FsRig rig(true);
+    CompiledReplayOptions on;
+    on.mode = CompiledMode::On;
+    EXPECT_TRUE(rig.fs->enableCompiledReplay(on));
+}
+
 TEST(RefreshFs, ConflictFreeUnderLoad)
 {
     // Saturate all domains across multiple epochs; the DRAM model
