@@ -1,13 +1,13 @@
 #include "harness/experiment.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <csignal>
 #include <cstdio>
 #include <deque>
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <sstream>
 
 #include "cpu/core_model.hh"
 #include "cpu/workload.hh"
@@ -213,6 +213,38 @@ parseInterleave(const std::string &s)
     fatal("unknown interleave '{}'", s);
 }
 
+/**
+ * Parse fs.slot_weights ("2,1,1,..."): one unsigned integer per
+ * domain, at least one nonzero. Strict per token: stoul would throw
+ * on "x" and wrap "-1" to 4294967295 slots; from_chars on an unsigned
+ * rejects signs, blanks, empty tokens and overflow.
+ */
+std::vector<unsigned>
+parseSlotWeights(const std::string &list)
+{
+    std::vector<unsigned> weights;
+    size_t start = 0;
+    while (true) {
+        const size_t comma = list.find(',', start);
+        const std::string tok = list.substr(start, comma - start);
+        const char *end = tok.data() + tok.size();
+        unsigned w = 0;
+        const auto [used, ec] = std::from_chars(tok.data(), end, w);
+        fatal_if(ec != std::errc{} || used != end,
+                 "fs.slot_weights '{}': bad weight '{}' (expected an "
+                 "unsigned integer)",
+                 list, tok);
+        weights.push_back(w);
+        if (comma == std::string::npos)
+            break;
+        start = comma + 1;
+    }
+    fatal_if(std::all_of(weights.begin(), weights.end(),
+                         [](unsigned w) { return w == 0; }),
+             "fs.slot_weights '{}' gives no domain a slot", list);
+    return weights;
+}
+
 uint64_t
 traceSeed(const std::string &profileName, unsigned coreIdx,
           uint64_t baseSeed)
@@ -352,6 +384,8 @@ ExperimentSystem::ExperimentSystem(const Config &cfg)
     mcp.geo = geo;
     mcp.numDomains = cores;
     mcp.queueCapacity = cfg.getUint("mc.queue_capacity", 16);
+    fatal_if(mcp.queueCapacity == 0,
+             "mc.queue_capacity {} must be at least 1", mcp.queueCapacity);
     mcp.requestPoolCapacity = cfg.getUint("mc.request_pool", 64);
     // One controller per channel; all domains' queues exist on each
     // controller, but a core only ever talks to its own channel's.
@@ -429,13 +463,8 @@ ExperimentSystem::ExperimentSystem(const Config &cfg)
         }
         // SLA issue-slot weights: "2,1,1,..." (one entry per domain).
         const std::string weights = cfg.getString("fs.slot_weights", "");
-        if (!weights.empty()) {
-            std::istringstream ws(weights);
-            std::string tok;
-            while (std::getline(ws, tok, ','))
-                p.slotWeights.push_back(
-                    static_cast<unsigned>(std::stoul(tok)));
-        }
+        if (!weights.empty())
+            p.slotWeights = parseSlotWeights(weights);
         for (unsigned m = 0; m < numMcs; ++m) {
             sched::FsScheduler::Params pm = p;
             if (numMcs > 1 && pm.slotWeights.empty()) {

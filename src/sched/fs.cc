@@ -43,7 +43,7 @@ levelOf(FsMode m)
 } // namespace
 
 FsScheduler::FsScheduler(mem::MemoryController &mc, const Params &params)
-    : Scheduler(mc), params_(params)
+    : ReplayScheduler(mc), params_(params)
 {
     const core::PipelineSolver solver(dram_.timing());
     sol_ = params.pinRef
@@ -99,9 +99,8 @@ FsScheduler::FsScheduler(mem::MemoryController &mc, const Params &params)
     slotsPerFrame_ = slotTable_.size();
 
     const auto &geo = dram_.geometry();
-    plannedBankFree_.assign(
-        static_cast<size_t>(geo.ranksPerChannel) * geo.banksPerRank, 0);
-    lastRow_.assign(plannedBankFree_.size(), ~0u);
+    lastRow_.assign(
+        static_cast<size_t>(geo.ranksPerChannel) * geo.banksPerRank, ~0u);
     rankPlan_.assign(geo.ranksPerChannel, RankPlan{});
     rankDownUntil_.assign(geo.ranksPerChannel, 0);
     pdCreditCycles_.assign(geo.ranksPerChannel, 0);
@@ -109,16 +108,8 @@ FsScheduler::FsScheduler(mem::MemoryController &mc, const Params &params)
     for (DomainId d = 0; d < n; ++d)
         domainRng_.emplace_back(params.rngSeed * 0x9E3779B9u + d);
 
-    const auto &tp = dram_.timing();
-    completeReadDelta_ = tp.cas + tp.burst;
-    completeWriteDelta_ = tp.cwd + tp.burst;
-    // Ops in flight: slots decided within one command lead of the
-    // latest CAS, two events each.
-    const Cycle depth = static_cast<Cycle>(
-        static_cast<long>(lead_) + std::max(off.casRead, off.casWrite));
-    ring_ = ReplayRing<PlannedOp>(2 * (depth / l_ + 1));
-
     if (params_.refresh) {
+        const auto &tp = dram_.timing();
         // No slot may have commands or auto-precharge activity inside
         // the epoch: quiet-down begins one worst-case transaction
         // footprint before the REF burst.
@@ -140,8 +131,7 @@ FsScheduler::name() const
 bool
 FsScheduler::enableCompiledReplay(const CompiledReplayOptions &opts)
 {
-    panic_if(!planned_.empty(), "enableCompiledReplay after ticking");
-    compiledMode_ = opts.mode;
+    ReplayScheduler::enableCompiledReplay(opts);
     // Injected skew perturbs the very template the proof is about.
     if (opts.mode == CompiledMode::Off || injector_)
         return false;
@@ -201,62 +191,6 @@ FsScheduler::enableCompiledReplay(const CompiledReplayOptions &opts)
     return true;
 }
 
-void
-FsScheduler::enqueueReplay(PlannedOp &op)
-{
-    // Clientless ops (dummies) retire silently at CAS apply; only
-    // client-visible completions need an exact wake cycle.
-    const Cycle completeAt =
-        op.req->client
-            ? op.casAt +
-                  (op.write ? completeWriteDelta_ : completeReadDelta_)
-            : kNoCycle;
-    if (!op.actIssued)
-        ring_.push({op.actAt, kNoCycle, &op, false});
-    ring_.push({op.casAt, completeAt, &op, true});
-}
-
-void
-FsScheduler::applyUpTo(Cycle now)
-{
-    while (!ring_.empty() && ring_.front().at <= now) {
-        const ReplayEvent<PlannedOp> ev = ring_.front();
-        ring_.pop();
-        PlannedOp &op = *ev.op;
-        panic_if(!op.req, "compiled replay lost its request");
-        if (!ev.cas) {
-            Command act{CmdType::Act, op.req->loc.rank,
-                        op.req->loc.bank, op.req->loc.row, op.req->id,
-                        op.suppressAct};
-            dram_.issue(act, ev.at);
-            op.actIssued = true;
-        } else {
-            const CmdType type = op.write ? CmdType::WrA : CmdType::RdA;
-            Command cas{type, op.req->loc.rank, op.req->loc.bank,
-                        op.req->loc.row, op.req->id, op.suppressCas};
-            const dram::IssueResult res = dram_.issue(cas, ev.at);
-            panic_if(compiledMode_ == CompiledMode::Verify &&
-                         ev.completeAt != kNoCycle &&
-                         res.dataEnd != ev.completeAt,
-                     "compiled completion mispredicted: device {} vs "
-                     "table {}",
-                     res.dataEnd, ev.completeAt);
-            mc_.noteBurst(op.dummy);
-            mc_.finishRequest(std::move(op.req), res.dataEnd);
-        }
-        ++compiledCmds_;
-    }
-}
-
-bool
-FsScheduler::bankFree(unsigned rank, unsigned bank, Cycle actAt) const
-{
-    const unsigned nb = dram_.geometry().banksPerRank;
-    const Cycle free = plannedBankFree_[static_cast<size_t>(rank) * nb +
-                                        bank];
-    return actAt >= free;
-}
-
 bool
 FsScheduler::rankFree(unsigned rank, Cycle actAt, Cycle casAt,
                       bool write) const
@@ -292,23 +226,9 @@ FsScheduler::reserveRank(unsigned rank, Cycle actAt, Cycle casAt,
 }
 
 void
-FsScheduler::reserveBank(unsigned rank, unsigned bank, Cycle actAt,
-                         Cycle casAt, bool write)
+FsScheduler::planSlot(std::unique_ptr<MemRequest> req, bool write,
+                      bool dummy, Cycle ref)
 {
-    const auto &tp = dram_.timing();
-    const Cycle preDone =
-        write ? casAt + tp.cwd + tp.burst + tp.wr + tp.rp
-              : std::max(casAt + tp.rtp + tp.rp, actAt + tp.rc);
-    const Cycle readyAt = std::max(actAt + tp.rc, preDone);
-    const unsigned nb = dram_.geometry().banksPerRank;
-    plannedBankFree_[static_cast<size_t>(rank) * nb + bank] = readyAt;
-}
-
-void
-FsScheduler::plan(uint64_t slot, std::unique_ptr<MemRequest> req,
-                  bool write, bool dummy, Cycle ref)
-{
-    (void)slot;
     const auto &off = sol_.offsets;
     PlannedOp op;
     op.write = write;
@@ -364,8 +284,7 @@ FsScheduler::plan(uint64_t slot, std::unique_ptr<MemRequest> req,
     }
 
     op.req = std::move(req);
-    planned_.push_back(std::move(op));
-    enqueueReplay(planned_.back());
+    plan(std::move(op));
 }
 
 void
@@ -391,7 +310,7 @@ FsScheduler::frameBoundary(uint64_t frame, Cycle now)
         for (const auto &p : mc_.prefetchQueue(d))
             used[p->loc.rank] = true;
     }
-    for (const auto &op : planned_) {
+    for (const auto &op : planned()) {
         if (op.req)
             used[op.req->loc.rank] = true;
     }
@@ -456,7 +375,7 @@ FsScheduler::decideSlot(uint64_t slot, Cycle now)
         auto owned = q.take(r);
         owned->firstCommand = ref + (w ? off.actWrite : off.actRead);
         realOps_.inc();
-        plan(slot, std::move(owned), w, false, ref);
+        planSlot(std::move(owned), w, false, ref);
         return;
     }
     if (!q.empty())
@@ -471,7 +390,7 @@ FsScheduler::decideSlot(uint64_t slot, Cycle now)
                 pq.erase(it);
                 owned->firstCommand = ref + off.actRead;
                 prefetchOps_.inc();
-                plan(slot, std::move(owned), false, false, ref);
+                planSlot(std::move(owned), false, false, ref);
                 return;
             }
         }
@@ -515,7 +434,7 @@ FsScheduler::decideSlot(uint64_t slot, Cycle now)
             dummy->loc.row = 0;
         dummyOps_.inc();
         mc_.noteDummy();
-        plan(slot, std::move(dummy), false, true, ref);
+        planSlot(std::move(dummy), false, true, ref);
         return;
     }
     // Only reachable at very low thread counts, where rank-level
@@ -546,8 +465,6 @@ FsScheduler::tick(Cycle now)
     if (now % l_ == 0)
         decideSlot(now / l_, now);
     applyUpTo(now); // ops this decide may have cycles == now
-    while (!planned_.empty() && !planned_.front().req)
-        planned_.pop_front();
 }
 
 Cycle
@@ -570,11 +487,7 @@ FsScheduler::nextWakeCycle(Cycle now) const
             wake = std::min(wake, nextRefresh_);
         }
     }
-    // Planned commands apply lazily (applyUpTo), so only a
-    // client-visible completion forces an executed cycle between
-    // decisions.
-    wake = std::min(wake, ring_.minCompletion());
-    return std::max(wake, next);
+    return completionBound(wake, now);
 }
 
 void
@@ -625,22 +538,7 @@ void
 FsScheduler::saveState(Serializer &s) const
 {
     s.section("fs");
-    s.putU64(planned_.size());
-    for (const PlannedOp &op : planned_) {
-        s.putBool(op.req != nullptr);
-        if (op.req)
-            mem::serializeRequest(s, *op.req);
-        s.putBool(op.write);
-        s.putBool(op.dummy);
-        s.putBool(op.suppressAct);
-        s.putBool(op.suppressCas);
-        s.putU64(op.actAt);
-        s.putU64(op.casAt);
-        s.putBool(op.actIssued);
-    }
-    s.putU64(plannedBankFree_.size());
-    for (Cycle c : plannedBankFree_)
-        s.putU64(c);
+    savePlan(s);
     s.putU64(rankPlan_.size());
     for (const RankPlan &rp : rankPlan_) {
         s.putU64(rp.nextRead);
@@ -684,29 +582,7 @@ void
 FsScheduler::restoreState(Deserializer &d)
 {
     d.section("fs");
-    planned_.clear();
-    const uint64_t nops = d.getU64();
-    for (uint64_t i = 0; i < nops; ++i) {
-        PlannedOp op;
-        if (d.getBool()) {
-            bool hadClient = false;
-            op.req = mem::deserializeRequest(d, &hadClient);
-            if (hadClient)
-                op.req->client = mc_.clientFor(op.req->domain);
-        }
-        op.write = d.getBool();
-        op.dummy = d.getBool();
-        op.suppressAct = d.getBool();
-        op.suppressCas = d.getBool();
-        op.actAt = d.getU64();
-        op.casAt = d.getU64();
-        op.actIssued = d.getBool();
-        planned_.push_back(std::move(op));
-    }
-    if (d.getU64() != plannedBankFree_.size())
-        d.fail("planned bank count mismatch");
-    for (Cycle &c : plannedBankFree_)
-        c = d.getU64();
+    restorePlan(d);
     if (d.getU64() != rankPlan_.size())
         d.fail("rank plan count mismatch");
     for (RankPlan &rp : rankPlan_) {
@@ -751,15 +627,6 @@ FsScheduler::restoreState(Deserializer &d)
     hazardDeferrals_.restoreState(d);
     boostedActs_.restoreState(d);
     skewedOps_.restoreState(d);
-
-    // Replay state is derived, never serialized: rebuild the event
-    // ring from the restored plan. This is what makes checkpoints
-    // portable across sim.compiled modes.
-    ring_.clear();
-    for (PlannedOp &op : planned_) {
-        if (op.req) // null: CAS already applied
-            enqueueReplay(op);
-    }
 }
 
 } // namespace memsec::sched

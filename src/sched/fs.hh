@@ -29,7 +29,7 @@
 #include <vector>
 
 #include "core/pipeline_solver.hh"
-#include "sched/scheduler.hh"
+#include "sched/replay_scheduler.hh"
 #include "util/random.hh"
 
 namespace memsec::sched {
@@ -40,7 +40,7 @@ enum class FsMode : uint8_t { RankPart, BankPart, NoPart, TripleAlt };
 const char *fsModeName(FsMode m);
 
 /** Slot-table Fixed-Service scheduler. */
-class FsScheduler : public Scheduler
+class FsScheduler : public ReplayScheduler
 {
   public:
     struct Params
@@ -91,9 +91,6 @@ class FsScheduler : public Scheduler
      * when refresh is on. Declines while a fault injector is attached.
      */
     bool enableCompiledReplay(const CompiledReplayOptions &opts) override;
-    bool compiledActive() const override { return true; }
-    void applyUpTo(Cycle now) override;
-    uint64_t compiledCommands() const override { return compiledCmds_; }
 
     /**
      * Slot-skew injection point: real (non-dummy) operations planned
@@ -122,23 +119,8 @@ class FsScheduler : public Scheduler
     uint64_t prefetchOps() const { return prefetchOps_.value(); }
 
   private:
-    struct PlannedOp
-    {
-        std::unique_ptr<mem::MemRequest> req; ///< null after CAS issue
-        bool write = false;
-        bool dummy = false;
-        bool suppressAct = false;
-        bool suppressCas = false;
-        Cycle actAt = 0;
-        Cycle casAt = 0;
-        bool actIssued = false;
-    };
-
     /** Pick and plan the operation for slot `slot` (decided at now). */
     void decideSlot(uint64_t slot, Cycle now);
-
-    /** True if an op on (rank,bank) may plan its ACT at actAt. */
-    bool bankFree(unsigned rank, unsigned bank, Cycle actAt) const;
 
     /**
      * True if rank-level constraints (tRRD, tFAW, CAS turnaround)
@@ -151,22 +133,15 @@ class FsScheduler : public Scheduler
     bool rankFree(unsigned rank, Cycle actAt, Cycle casAt,
                   bool write) const;
 
-    /** Record the planned op's bank-reuse horizon. */
-    void reserveBank(unsigned rank, unsigned bank, Cycle actAt,
-                     Cycle casAt, bool write);
-
     /** Record the planned op's rank-level footprint. */
     void reserveRank(unsigned rank, Cycle actAt, Cycle casAt,
                      bool write);
 
-    /** Plan the op's commands. */
-    void plan(uint64_t slot, std::unique_ptr<mem::MemRequest> req,
-              bool write, bool dummy, Cycle ref);
+    /** Plan the slot's op on its commands' template cycles. */
+    void planSlot(std::unique_ptr<mem::MemRequest> req, bool write,
+                  bool dummy, Cycle ref);
 
     void frameBoundary(uint64_t frame, Cycle now);
-
-    /** Queue the op's not-yet-applied ACT/CAS replay events. */
-    void enqueueReplay(PlannedOp &op);
 
     Params params_;
     core::PipelineSolution sol_;
@@ -177,11 +152,6 @@ class FsScheduler : public Scheduler
                                        ///< needed for group rotation
     std::vector<DomainId> slotTable_;  ///< slot index -> domain (or ~0)
     static constexpr DomainId kPhantom = ~0u;
-
-    std::deque<PlannedOp> planned_;
-    /** Earliest cycle a new ACT may be planned per (rank, bank),
-     *  covering planned-but-unissued auto-precharges. */
-    std::vector<Cycle> plannedBankFree_;
 
     /** Planned rank-level windows, mirroring dram::Rank. */
     struct RankPlan
@@ -208,17 +178,6 @@ class FsScheduler : public Scheduler
     Cycle refreshMargin_ = 0;
     Cycle refreshPause_ = 0;
     unsigned refreshRankCursor_ = 0;
-
-    /*
-     * Replay state (docs/PERF.md). Derived: checkpoints serialize only
-     * planned_, and the ring is rebuilt on restore, which keeps
-     * checkpoint bytes identical across sim.compiled modes.
-     */
-    CompiledMode compiledMode_ = CompiledMode::Off;
-    ReplayRing<PlannedOp> ring_{0};
-    Cycle completeReadDelta_ = 0;  ///< casAt -> read data-burst end
-    Cycle completeWriteDelta_ = 0; ///< casAt -> write data-burst end
-    uint64_t compiledCmds_ = 0;    ///< kernel accounting, not digest
 
     Counter realOps_;
     Counter dummyOps_;

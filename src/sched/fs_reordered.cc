@@ -9,12 +9,10 @@ namespace memsec::sched {
 
 using mem::MemRequest;
 using mem::ReqType;
-using dram::CmdType;
-using dram::Command;
 
 FsReorderedScheduler::FsReorderedScheduler(mem::MemoryController &mc,
                                            const Params &params)
-    : Scheduler(mc), params_(params)
+    : ReplayScheduler(mc), params_(params)
 {
     const core::PipelineSolver solver(dram_.timing());
     sol_ = solver.solveReordered(mc.numDomains());
@@ -25,92 +23,9 @@ FsReorderedScheduler::FsReorderedScheduler(mem::MemoryController &mc,
                                  off_.casRead, off_.casWrite, 0});
     lead_ = static_cast<Cycle>(-minOff);
 
-    const auto &geo = dram_.geometry();
-    plannedBankFree_.assign(
-        static_cast<size_t>(geo.ranksPerChannel) * geo.banksPerRank, 0);
     dummyRr_.assign(mc.numDomains(), 0);
     for (DomainId d = 0; d < mc.numDomains(); ++d)
         domainRng_.emplace_back(params.rngSeed * 0x517cc1b7u + d);
-    // An op's commands land within two intervals of its decision:
-    // at most two intervals of ops in flight, two events each.
-    ring_ = ReplayRing<PlannedOp>(4 * mc.numDomains());
-}
-
-bool
-FsReorderedScheduler::enableCompiledReplay(const CompiledReplayOptions &opts)
-{
-    panic_if(!planned_.empty(), "enableCompiledReplay after ticking");
-    compiledMode_ = opts.mode;
-    return false;
-}
-
-void
-FsReorderedScheduler::enqueueReplay(PlannedOp &op)
-{
-    // Clientless ops (dummies) retire silently at CAS apply; only a
-    // client-visible completion needs an exact wake cycle. Reads use
-    // the en-masse interval-end return, already in op.completeAt.
-    const Cycle completeAt = op.req->client ? op.completeAt : kNoCycle;
-    if (!op.actIssued)
-        ring_.push({op.actAt, kNoCycle, &op, false});
-    ring_.push({op.casAt, completeAt, &op, true});
-}
-
-void
-FsReorderedScheduler::applyUpTo(Cycle now)
-{
-    while (!ring_.empty() && ring_.front().at <= now) {
-        const ReplayEvent<PlannedOp> ev = ring_.front();
-        ring_.pop();
-        PlannedOp &op = *ev.op;
-        panic_if(!op.req, "compiled replay lost its request");
-        if (!ev.cas) {
-            Command act{CmdType::Act, op.req->loc.rank,
-                        op.req->loc.bank, op.req->loc.row, op.req->id,
-                        false};
-            dram_.issue(act, ev.at);
-            op.actIssued = true;
-        } else {
-            const CmdType type = op.write ? CmdType::WrA : CmdType::RdA;
-            Command cas{type, op.req->loc.rank, op.req->loc.bank,
-                        op.req->loc.row, op.req->id, false};
-            const dram::IssueResult res = dram_.issue(cas, ev.at);
-            // Reads deliberately complete after the data burst (en
-            // masse at the interval end), so the device end is only a
-            // lower bound there; writes must match exactly.
-            panic_if(compiledMode_ == CompiledMode::Verify &&
-                         (op.write ? res.dataEnd != op.completeAt
-                                   : res.dataEnd > op.completeAt),
-                     "compiled completion mispredicted: device {} vs "
-                     "planned {}",
-                     res.dataEnd, op.completeAt);
-            mc_.noteBurst(op.dummy);
-            mc_.finishRequest(std::move(op.req), op.completeAt);
-        }
-        ++compiledCmds_;
-    }
-}
-
-bool
-FsReorderedScheduler::bankFree(unsigned rank, unsigned bank,
-                               Cycle actAt) const
-{
-    const unsigned nb = dram_.geometry().banksPerRank;
-    return actAt >=
-           plannedBankFree_[static_cast<size_t>(rank) * nb + bank];
-}
-
-void
-FsReorderedScheduler::reserveBank(unsigned rank, unsigned bank,
-                                  Cycle actAt, Cycle casAt, bool write)
-{
-    const auto &tp = dram_.timing();
-    const Cycle preDone =
-        write ? casAt + tp.cwd + tp.burst + tp.wr + tp.rp
-              : std::max(casAt + tp.rtp + tp.rp, actAt + tp.rc);
-    const unsigned nb = dram_.geometry().banksPerRank;
-    plannedBankFree_[static_cast<size_t>(rank) * nb + bank] =
-        std::max(actAt + tp.rc, preDone);
 }
 
 std::unique_ptr<MemRequest>
@@ -216,10 +131,9 @@ FsReorderedScheduler::decideInterval(uint64_t interval, Cycle now)
             mc_.noteDummy();
         }
         // Reads return en masse at the end of the interval so the
-        // read/write reordering cannot modulate observed latency.
-        op.completeAt =
-            p.write ? casAt + dram_.timing().cwd + dram_.timing().burst
-                    : nextBase;
+        // read/write reordering cannot modulate observed latency;
+        // writes complete at their data end.
+        op.releaseAt = p.write ? kNoCycle : nextBase;
         // The bank reservation must be position-independent too (the
         // actual position depends on the other domains' mix), so it
         // assumes the op sat in the interval's LAST slot. Together
@@ -231,8 +145,7 @@ FsReorderedScheduler::decideInterval(uint64_t interval, Cycle now)
                     worstData + (p.write ? off_.actWrite : off_.actRead),
                     worstData + (p.write ? off_.casWrite : off_.casRead),
                     p.write);
-        planned_.push_back(std::move(op));
-        enqueueReplay(planned_.back());
+        plan(std::move(op));
     }
 }
 
@@ -242,8 +155,6 @@ FsReorderedScheduler::tick(Cycle now)
     if (now % q_ == 0)
         decideInterval(now / q_, now);
     applyUpTo(now); // ops this decide may have cycles == now
-    while (!planned_.empty() && !planned_.front().req)
-        planned_.pop_front();
 }
 
 Cycle
@@ -251,11 +162,7 @@ FsReorderedScheduler::nextWakeCycle(Cycle now) const
 {
     const Cycle next = now + 1;
     // Interval decisions happen at every multiple of q.
-    Cycle wake = (next + q_ - 1) / q_ * q_;
-    // Queued commands apply lazily (applyUpTo); only a client-visible
-    // completion forces an executed cycle between intervals.
-    wake = std::min(wake, ring_.minCompletion());
-    return std::max(wake, next);
+    return completionBound((next + q_ - 1) / q_ * q_, now);
 }
 
 void
@@ -271,21 +178,7 @@ void
 FsReorderedScheduler::saveState(Serializer &s) const
 {
     s.section("fs-reordered");
-    s.putU64(planned_.size());
-    for (const PlannedOp &op : planned_) {
-        s.putBool(op.req != nullptr);
-        if (op.req)
-            mem::serializeRequest(s, *op.req);
-        s.putBool(op.write);
-        s.putBool(op.dummy);
-        s.putU64(op.actAt);
-        s.putU64(op.casAt);
-        s.putU64(op.completeAt);
-        s.putBool(op.actIssued);
-    }
-    s.putU64(plannedBankFree_.size());
-    for (Cycle c : plannedBankFree_)
-        s.putU64(c);
+    savePlan(s);
     s.putU64(domainRng_.size());
     for (const Rng &rng : domainRng_) {
         uint64_t st[4];
@@ -305,28 +198,7 @@ void
 FsReorderedScheduler::restoreState(Deserializer &d)
 {
     d.section("fs-reordered");
-    planned_.clear();
-    const uint64_t nops = d.getU64();
-    for (uint64_t i = 0; i < nops; ++i) {
-        PlannedOp op;
-        if (d.getBool()) {
-            bool hadClient = false;
-            op.req = mem::deserializeRequest(d, &hadClient);
-            if (hadClient)
-                op.req->client = mc_.clientFor(op.req->domain);
-        }
-        op.write = d.getBool();
-        op.dummy = d.getBool();
-        op.actAt = d.getU64();
-        op.casAt = d.getU64();
-        op.completeAt = d.getU64();
-        op.actIssued = d.getBool();
-        planned_.push_back(std::move(op));
-    }
-    if (d.getU64() != plannedBankFree_.size())
-        d.fail("planned bank count mismatch");
-    for (Cycle &c : plannedBankFree_)
-        c = d.getU64();
+    restorePlan(d);
     if (d.getU64() != domainRng_.size())
         d.fail("domain RNG count mismatch");
     for (Rng &rng : domainRng_) {
@@ -342,15 +214,6 @@ FsReorderedScheduler::restoreState(Deserializer &d)
     realOps_.restoreState(d);
     dummyOps_.restoreState(d);
     hazardDeferrals_.restoreState(d);
-
-    // Replay state is derived, never serialized: rebuild the event
-    // ring from the restored plan. This is what makes checkpoints
-    // portable across sim.compiled modes.
-    ring_.clear();
-    for (PlannedOp &op : planned_) {
-        if (op.req) // null: CAS already applied
-            enqueueReplay(op);
-    }
 }
 
 } // namespace memsec::sched

@@ -14,17 +14,16 @@
 #ifndef MEMSEC_SCHED_FS_REORDERED_HH
 #define MEMSEC_SCHED_FS_REORDERED_HH
 
-#include <deque>
 #include <vector>
 
 #include "core/pipeline_solver.hh"
-#include "sched/scheduler.hh"
+#include "sched/replay_scheduler.hh"
 #include "util/random.hh"
 
 namespace memsec::sched {
 
 /** Interval-batched, read/write-reordered FS scheduler. */
-class FsReorderedScheduler : public Scheduler
+class FsReorderedScheduler : public ReplayScheduler
 {
   public:
     struct Params
@@ -39,18 +38,12 @@ class FsReorderedScheduler : public Scheduler
     std::string name() const override { return "fs-reordered-bank"; }
     void registerStats(StatGroup &group) const override;
 
-    /**
-     * Reordered FS has no hyperperiod slot table the verifier can
-     * unroll: the interval's command layout depends on the domains'
-     * read/write mix, so the template is solver-derived per interval
-     * rather than statically enumerable. There is no static proof:
-     * the offer only arms Verify's completion asserts, and every
-     * command stays audited by the TimingChecker.
+    /*
+     * No enableCompiledReplay proof: reordered FS has no hyperperiod
+     * slot table the verifier can unroll (the interval's command
+     * layout depends on the domains' read/write mix), so every command
+     * stays audited by the TimingChecker.
      */
-    bool enableCompiledReplay(const CompiledReplayOptions &opts) override;
-    bool compiledActive() const override { return true; }
-    void applyUpTo(Cycle now) override;
-    uint64_t compiledCommands() const override { return compiledCmds_; }
 
     Cycle intervalLength() const { return q_; }
     const core::ReorderedSolution &solution() const { return sol_; }
@@ -62,26 +55,9 @@ class FsReorderedScheduler : public Scheduler
     void restoreState(Deserializer &d) override;
 
   private:
-    struct PlannedOp
-    {
-        std::unique_ptr<mem::MemRequest> req;
-        bool write = false;
-        bool dummy = false;
-        Cycle actAt = 0;
-        Cycle casAt = 0;
-        Cycle completeAt = 0;
-        bool actIssued = false;
-    };
-
     void decideInterval(uint64_t interval, Cycle now);
-    bool bankFree(unsigned rank, unsigned bank, Cycle actAt) const;
-    void reserveBank(unsigned rank, unsigned bank, Cycle actAt,
-                     Cycle casAt, bool write);
     std::unique_ptr<mem::MemRequest> makeDummy(DomainId domain, bool write,
                                                Cycle actAt, Cycle now);
-
-    /** Queue the op's not-yet-applied ACT/CAS replay events. */
-    void enqueueReplay(PlannedOp &op);
 
     Params params_;
     core::ReorderedSolution sol_;
@@ -89,19 +65,8 @@ class FsReorderedScheduler : public Scheduler
     Cycle q_ = 0;
     Cycle lead_ = 0;
 
-    std::deque<PlannedOp> planned_;
-    std::vector<Cycle> plannedBankFree_;
     std::vector<Rng> domainRng_;
     std::vector<size_t> dummyRr_;
-
-    /*
-     * Replay state (docs/PERF.md). Derived: checkpoints serialize only
-     * planned_, and the ring is rebuilt on restore, which keeps
-     * checkpoint bytes identical across sim.compiled modes.
-     */
-    CompiledMode compiledMode_ = CompiledMode::Off;
-    ReplayRing<PlannedOp> ring_{0};
-    uint64_t compiledCmds_ = 0; ///< kernel accounting, not digest
 
     Counter realOps_;
     Counter dummyOps_;

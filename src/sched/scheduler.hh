@@ -30,8 +30,8 @@ namespace memsec::sched {
 struct CompiledReplayOptions
 {
     CompiledMode mode = CompiledMode::Off;
-    /** No longer read: the replay ring reserves a bound derived from
-     *  the schedule and grows past it. Kept for source compatibility. */
+    /** No longer read: the replay ring grows to the schedule's
+     *  in-flight high-water mark. Kept for source compatibility. */
     size_t ringCapacity = 64;
 };
 

@@ -9,11 +9,9 @@ namespace memsec::sched {
 
 using mem::MemRequest;
 using mem::ReqType;
-using dram::CmdType;
-using dram::Command;
 
 TpScheduler::TpScheduler(mem::MemoryController &mc, const Params &params)
-    : Scheduler(mc), params_(params)
+    : ReplayScheduler(mc), params_(params)
 {
     fatal_if(params_.turnLength == 0, "TP turn length must be nonzero");
 
@@ -49,76 +47,12 @@ TpScheduler::TpScheduler(mem::MemoryController &mc, const Params &params)
              "({}/{})",
              params_.turnLength, footRead_, footWrite_);
 
-    const auto &geo = dram_.geometry();
-    plannedBankFree_.assign(
-        static_cast<size_t>(geo.ranksPerChannel) * geo.banksPerRank, 0);
-
     // Replay events sit at `now + offset`; a negative offset would put
     // a command before the decision that plans it.
     const auto &off = sol_.offsets;
     fatal_if(off.actRead < 0 || off.casRead < 0 || off.actWrite < 0 ||
                  off.casWrite < 0,
              "TP pipeline has a negative command offset");
-    completeReadDelta_ = tp.cas + tp.burst;
-    completeWriteDelta_ = tp.cwd + tp.burst;
-    // Ops in flight: slots decided within one CAS offset, two events
-    // each.
-    const unsigned depth = static_cast<unsigned>(
-        std::max(off.casRead, off.casWrite));
-    ring_ = ReplayRing<PlannedOp>(2 * (depth / l_ + 1));
-}
-
-bool
-TpScheduler::enableCompiledReplay(const CompiledReplayOptions &opts)
-{
-    panic_if(!planned_.empty(), "enableCompiledReplay after ticking");
-    compiledMode_ = opts.mode;
-    return false;
-}
-
-void
-TpScheduler::enqueueReplay(PlannedOp &op)
-{
-    const Cycle completeAt =
-        op.req->client
-            ? op.casAt +
-                  (op.write ? completeWriteDelta_ : completeReadDelta_)
-            : kNoCycle;
-    if (!op.actIssued)
-        ring_.push({op.actAt, kNoCycle, &op, false});
-    ring_.push({op.casAt, completeAt, &op, true});
-}
-
-void
-TpScheduler::applyUpTo(Cycle now)
-{
-    while (!ring_.empty() && ring_.front().at <= now) {
-        const ReplayEvent<PlannedOp> ev = ring_.front();
-        ring_.pop();
-        PlannedOp &op = *ev.op;
-        panic_if(!op.req, "compiled replay lost its request");
-        if (!ev.cas) {
-            Command act{CmdType::Act, op.req->loc.rank,
-                        op.req->loc.bank, op.req->loc.row, op.req->id,
-                        false};
-            dram_.issue(act, ev.at);
-            op.actIssued = true;
-        } else {
-            const CmdType type = op.write ? CmdType::WrA : CmdType::RdA;
-            Command cas{type, op.req->loc.rank, op.req->loc.bank,
-                        op.req->loc.row, op.req->id, false};
-            const dram::IssueResult res = dram_.issue(cas, ev.at);
-            panic_if(compiledMode_ == CompiledMode::Verify &&
-                         ev.completeAt != kNoCycle &&
-                         res.dataEnd != ev.completeAt,
-                     "compiled completion mispredicted: device {} vs "
-                     "predicted {}",
-                     res.dataEnd, ev.completeAt);
-            mc_.noteBurst(false);
-            mc_.finishRequest(std::move(op.req), res.dataEnd);
-        }
-        ++compiledCmds_;
-    }
 }
 
 DomainId
@@ -132,27 +66,6 @@ Cycle
 TpScheduler::turnEnd(Cycle now) const
 {
     return (now / params_.turnLength + 1) * params_.turnLength;
-}
-
-bool
-TpScheduler::bankFree(unsigned rank, unsigned bank, Cycle actAt) const
-{
-    const unsigned nb = dram_.geometry().banksPerRank;
-    return actAt >=
-           plannedBankFree_[static_cast<size_t>(rank) * nb + bank];
-}
-
-void
-TpScheduler::reserveBank(unsigned rank, unsigned bank, Cycle actAt,
-                         Cycle casAt, bool write)
-{
-    const auto &tp = dram_.timing();
-    const Cycle preDone =
-        write ? casAt + tp.cwd + tp.burst + tp.wr + tp.rp
-              : std::max(casAt + tp.rtp + tp.rp, actAt + tp.rc);
-    const unsigned nb = dram_.geometry().banksPerRank;
-    plannedBankFree_[static_cast<size_t>(rank) * nb + bank] =
-        std::max(actAt + tp.rc, preDone);
 }
 
 void
@@ -188,8 +101,7 @@ TpScheduler::decideSlot(Cycle now)
     served_.inc();
     reserveBank(op.req->loc.rank, op.req->loc.bank, op.actAt, op.casAt,
                 w);
-    planned_.push_back(std::move(op));
-    enqueueReplay(planned_.back());
+    plan(std::move(op));
 }
 
 void
@@ -202,8 +114,6 @@ TpScheduler::tick(Cycle now)
     if ((now % params_.turnLength) % l_ == 0)
         decideSlot(now);
     applyUpTo(now); // ops this decide may have cycles == now
-    while (!planned_.empty() && !planned_.front().req)
-        planned_.pop_front();
 }
 
 Cycle
@@ -218,11 +128,7 @@ TpScheduler::nextWakeCycle(Cycle now) const
     Cycle wake = turnStart + (inTurn + l_ - 1) / l_ * l_;
     if (wake >= turnStart + turn)
         wake = turnStart + turn;
-    // Queued commands apply lazily (applyUpTo), so only a
-    // client-visible completion forces an executed cycle between
-    // slot boundaries.
-    wake = std::min(wake, ring_.minCompletion());
-    return std::max(wake, next);
+    return completionBound(wake, now);
 }
 
 void
@@ -238,19 +144,7 @@ void
 TpScheduler::saveState(Serializer &s) const
 {
     s.section("tp");
-    s.putU64(planned_.size());
-    for (const PlannedOp &op : planned_) {
-        s.putBool(op.req != nullptr);
-        if (op.req)
-            mem::serializeRequest(s, *op.req);
-        s.putBool(op.write);
-        s.putU64(op.actAt);
-        s.putU64(op.casAt);
-        s.putBool(op.actIssued);
-    }
-    s.putU64(plannedBankFree_.size());
-    for (Cycle c : plannedBankFree_)
-        s.putU64(c);
+    savePlan(s);
     turns_.saveState(s);
     served_.saveState(s);
     idleSlots_.saveState(s);
@@ -260,38 +154,10 @@ void
 TpScheduler::restoreState(Deserializer &d)
 {
     d.section("tp");
-    planned_.clear();
-    const uint64_t nops = d.getU64();
-    for (uint64_t i = 0; i < nops; ++i) {
-        PlannedOp op;
-        if (d.getBool()) {
-            bool hadClient = false;
-            op.req = mem::deserializeRequest(d, &hadClient);
-            if (hadClient)
-                op.req->client = mc_.clientFor(op.req->domain);
-        }
-        op.write = d.getBool();
-        op.actAt = d.getU64();
-        op.casAt = d.getU64();
-        op.actIssued = d.getBool();
-        planned_.push_back(std::move(op));
-    }
-    if (d.getU64() != plannedBankFree_.size())
-        d.fail("planned bank count mismatch");
-    for (Cycle &c : plannedBankFree_)
-        c = d.getU64();
+    restorePlan(d);
     turns_.restoreState(d);
     served_.restoreState(d);
     idleSlots_.restoreState(d);
-
-    // Replay state is derived, never serialized: rebuild the event
-    // ring from the restored plan. This is what makes checkpoints
-    // portable across sim.compiled modes.
-    ring_.clear();
-    for (PlannedOp &op : planned_) {
-        if (op.req) // null: CAS already applied
-            enqueueReplay(op);
-    }
 }
 
 } // namespace memsec::sched

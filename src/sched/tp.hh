@@ -20,17 +20,13 @@
 #ifndef MEMSEC_SCHED_TP_HH
 #define MEMSEC_SCHED_TP_HH
 
-#include <deque>
-#include <vector>
-
 #include "core/pipeline_solver.hh"
-#include "sched/scheduler.hh"
-#include "util/random.hh"
+#include "sched/replay_scheduler.hh"
 
 namespace memsec::sched {
 
 /** Turn-based temporally partitioned scheduler. */
-class TpScheduler : public Scheduler
+class TpScheduler : public ReplayScheduler
 {
   public:
     struct Params
@@ -48,16 +44,12 @@ class TpScheduler : public Scheduler
     std::string name() const override { return "tp"; }
     void registerStats(StatGroup &group) const override;
 
-    /**
-     * TP has no hyperperiod table to unroll (slots are anchored per
-     * turn and gated by the planned bank-reuse horizon), so there is
-     * no static proof: the offer only arms Verify's completion
-     * asserts, and every command stays audited by the TimingChecker.
+    /*
+     * No enableCompiledReplay proof: TP has no hyperperiod table to
+     * unroll (slots are anchored per turn and gated by the planned
+     * bank-reuse horizon), so every command stays audited by the
+     * TimingChecker.
      */
-    bool enableCompiledReplay(const CompiledReplayOptions &opts) override;
-    bool compiledActive() const override { return true; }
-    void applyUpTo(Cycle now) override;
-    uint64_t compiledCommands() const override { return compiledCmds_; }
 
     /** Domain whose turn covers cycle `now`. */
     DomainId activeDomain(Cycle now) const;
@@ -78,22 +70,7 @@ class TpScheduler : public Scheduler
     void restoreState(Deserializer &d) override;
 
   private:
-    struct PlannedOp
-    {
-        std::unique_ptr<mem::MemRequest> req;
-        bool write = false;
-        Cycle actAt = 0;
-        Cycle casAt = 0;
-        bool actIssued = false;
-    };
-
     void decideSlot(Cycle now);
-    bool bankFree(unsigned rank, unsigned bank, Cycle actAt) const;
-    void reserveBank(unsigned rank, unsigned bank, Cycle actAt,
-                     Cycle casAt, bool write);
-
-    /** Queue the op's not-yet-applied ACT/CAS replay events. */
-    void enqueueReplay(PlannedOp &op);
 
     Params params_;
     bool sharedBanks_ = false;
@@ -101,20 +78,6 @@ class TpScheduler : public Scheduler
     unsigned l_ = 0;
     unsigned footRead_ = 0;
     unsigned footWrite_ = 0;
-
-    std::deque<PlannedOp> planned_;
-    std::vector<Cycle> plannedBankFree_;
-
-    /*
-     * Replay state (docs/PERF.md). Derived: checkpoints serialize only
-     * planned_, and the ring is rebuilt on restore, which keeps
-     * checkpoint bytes identical across sim.compiled modes.
-     */
-    CompiledMode compiledMode_ = CompiledMode::Off;
-    ReplayRing<PlannedOp> ring_{0};
-    Cycle completeReadDelta_ = 0;  ///< casAt -> read data-burst end
-    Cycle completeWriteDelta_ = 0; ///< casAt -> write data-burst end
-    uint64_t compiledCmds_ = 0;    ///< kernel accounting, not digest
 
     Counter turns_;
     Counter served_;

@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "util/logging.hh"
+
 namespace memsec {
 
 CompiledMode

@@ -26,7 +26,7 @@
 namespace memsec {
 
 /** Snapshot container format version; bump on any layout change. */
-constexpr uint32_t kSnapshotVersion = 1;
+constexpr uint32_t kSnapshotVersion = 2;
 
 /** Magic prefix of every snapshot container file. */
 constexpr char kSnapshotMagic[9] = "MSECSNAP";

@@ -146,3 +146,28 @@ TEST(Harness, StatsDumpWritesFile)
     EXPECT_NE(text.find("mc0.sched.dummy_ops"), std::string::npos);
     EXPECT_NE(text.find("core0.ipc"), std::string::npos);
 }
+
+TEST(Harness, MalformedSlotWeightsAreFatal)
+{
+    // Each must end in a fatal naming the key, never an uncaught
+    // std::invalid_argument or a 4294967295-slot allocation.
+    for (const char *bad :
+         {"1,x,1,1", "1,-1,1,1", "1,,1,1", "1,1,1,", ",1,1,1",
+          "1, 1,1,1", "1,+1,1,1", "1,4294967296,1,1", "0,0,0,0"}) {
+        Config c = tinyConfig("fs_rp", "mcf");
+        c.set("fs.slot_weights", bad);
+        EXPECT_EXIT(runExperiment(c), ::testing::ExitedWithCode(1),
+                    "fs.slot_weights")
+            << bad;
+    }
+}
+
+TEST(Harness, ZeroQueueCapacityIsFatal)
+{
+    // User input, not a simulator bug: a fatal naming the key, not
+    // TransactionQueue's internal panic.
+    Config c = tinyConfig("fs_rp", "mcf");
+    c.set("mc.queue_capacity", 0);
+    EXPECT_EXIT(runExperiment(c), ::testing::ExitedWithCode(1),
+                "mc.queue_capacity 0");
+}
