@@ -321,3 +321,80 @@ TEST(DramSystemCrashDump, ConcurrentDumpsGetDistinctPaths)
         << "expected one uniquely named dump per live DramSystem";
     EXPECT_NE(dumps[0], dumps[1]);
 }
+
+namespace {
+
+/** Issue `setup` on a fresh system, then return the reason canIssue
+ *  gives for `probe` at `at` ("" when it is legal). */
+std::string
+blockReason(const std::vector<std::pair<Command, Cycle>> &setup,
+            const Command &probe, Cycle at)
+{
+    DramSystem s(TimingParams::ddr3_1600_4gb(), Geometry{});
+    for (const auto &[c, t] : setup)
+        s.issue(c, t);
+    std::string why;
+    return s.canIssue(probe, at, &why) ? "" : why;
+}
+
+Command
+c(CmdType t, unsigned rank, unsigned bank, unsigned row = 9)
+{
+    return Command{t, rank, bank, row, 0, false};
+}
+
+} // namespace
+
+// Every reason canIssue reports, pinned verbatim: illegal-issue
+// RunReport entries and panic messages quote these strings.
+TEST(DramSystemWhy, EveryBlockingReasonIsStable)
+{
+    using T = CmdType;
+    EXPECT_EQ(blockReason({{c(T::Act, 0, 0), 0}}, c(T::Act, 1, 0), 0),
+              "command bus busy");
+    EXPECT_EQ(blockReason({{c(T::Ref, 1, 0), 0}}, c(T::Act, 1, 0), 5),
+              "rank refreshing");
+    EXPECT_EQ(blockReason({{c(T::PdEnter, 2, 0), 0}}, c(T::Act, 2, 0), 5),
+              "rank powered down");
+    EXPECT_EQ(blockReason({{c(T::Act, 0, 0), 0}}, c(T::Act, 0, 0), 50),
+              "bank has open row");
+    EXPECT_EQ(blockReason({{c(T::Act, 0, 0), 0}, {c(T::Pre, 0, 0), 28}},
+                          c(T::Act, 0, 0), 30),
+              "bank tRC/tRP");
+    EXPECT_EQ(blockReason({{c(T::Act, 0, 0), 0}}, c(T::Act, 0, 1), 2),
+              "rank tRRD/tFAW");
+    EXPECT_EQ(blockReason({}, c(T::Rd, 0, 0), 0), "row not open");
+    EXPECT_EQ(blockReason({{c(T::Act, 0, 0), 0}}, c(T::Rd, 0, 0), 5),
+              "bank tRCD (read)");
+    EXPECT_EQ(blockReason({{c(T::Act, 0, 0), 0}}, c(T::WrA, 0, 0), 5),
+              "bank tRCD (write)");
+    EXPECT_EQ(blockReason({{c(T::Act, 0, 0), 0},
+                           {c(T::Act, 0, 1), 5},
+                           {c(T::Wr, 0, 0), 16}},
+                          c(T::RdA, 0, 1), 20),
+              "rank CAS turnaround (read)");
+    EXPECT_EQ(blockReason({{c(T::Act, 0, 0), 0},
+                           {c(T::Act, 0, 1), 5},
+                           {c(T::Rd, 0, 0), 16}},
+                          c(T::Wr, 0, 1), 20),
+              "rank CAS turnaround (write)");
+    EXPECT_EQ(blockReason({{c(T::Act, 0, 0), 0},
+                           {c(T::Act, 1, 0), 1},
+                           {c(T::Rd, 0, 0), 11}},
+                          c(T::Rd, 1, 0), 16),
+              "data bus / tRTRS");
+    EXPECT_EQ(blockReason({}, c(T::Pre, 0, 0), 0), "bank already closed");
+    EXPECT_EQ(blockReason({{c(T::Act, 0, 0), 0}}, c(T::Pre, 0, 0), 10),
+              "bank tRAS/tRTP/tWR");
+    EXPECT_EQ(blockReason({{c(T::Act, 0, 0), 0}}, c(T::Ref, 0, 0), 100),
+              "banks not precharged for REF");
+    EXPECT_EQ(blockReason({{c(T::Act, 0, 0), 0}}, c(T::PdEnter, 0, 0), 100),
+              "open rows prevent power-down");
+    EXPECT_EQ(blockReason({{c(T::PdEnter, 3, 0), 0}, {c(T::PdExit, 3, 0), 4}},
+                          c(T::PdEnter, 3, 0), 8),
+              "tXP after power-down exit");
+    EXPECT_EQ(blockReason({}, c(T::PdExit, 0, 0), 0),
+              "rank not powered down");
+    EXPECT_EQ(blockReason({{c(T::PdEnter, 3, 0), 0}}, c(T::PdExit, 3, 0), 2),
+              "tCKE residency");
+}

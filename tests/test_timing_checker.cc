@@ -283,3 +283,209 @@ TEST_F(CheckerTest, ObservedCountIncrements)
     ck.observe(cmd(CmdType::Rd, 0, 0, 5), tp.rcd);
     EXPECT_EQ(ck.observed(), 2u);
 }
+
+namespace {
+
+struct Step
+{
+    Command cmd;
+    Cycle t;
+};
+
+struct Expected
+{
+    Cycle cycle;
+    const char *rule;
+    const char *detail;
+};
+
+/** Feed `steps` to a fresh non-strict checker and compare every
+ *  recorded violation, in order, against `want` verbatim. */
+void
+expectExactViolations(const std::vector<Step> &steps,
+                      const std::vector<Expected> &want,
+                      uint64_t refi = 0)
+{
+    TimingChecker c(tp, 8, 8);
+    c.setStrict(false);
+    if (refi > 0)
+        c.expectRefresh(refi);
+    for (const Step &s : steps)
+        c.observe(s.cmd, s.t);
+    const auto &got = c.violations();
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got[i].cycle, want[i].cycle) << "violation " << i;
+        EXPECT_EQ(got[i].rule, want[i].rule) << "violation " << i;
+        EXPECT_EQ(got[i].detail, want[i].detail) << "violation " << i;
+    }
+}
+
+} // namespace
+
+// The detail text of every message the checker can emit, pinned
+// byte-for-byte (fault-campaign output and RunReports quote it). The
+// numbers are the DDR3-1600 parameters: tRC 39, tRCD 11, tRAS 28,
+// tRP 11, tRRD 5, tFAW 24, CL 11, CWL 5, burst 4, tWR 12, tRFC 208.
+// same-bank-reuse (ActToActRdA/WrA) is a verifier-only pair rule.
+TEST(CheckerDetailText, CommandBus)
+{
+    expectExactViolations(
+        {{act(0, 0, 5), 10}, {act(1, 0, 5), 10}},
+        {{10, "cmd-bus", "command at cycle 10 but bus last used at 10"}});
+}
+
+TEST(CheckerDetailText, RefreshWindow)
+{
+    expectExactViolations(
+        {{cmd(CmdType::Ref, 0, 0), 0}, {act(0, 0, 5), 100}},
+        {{100, "tRFC", "command to rank during refresh"}});
+    expectExactViolations(
+        {{cmd(CmdType::Ref, 0, 0), 0}, {cmd(CmdType::Ref, 0, 0), 100}},
+        {{100, "tRFC", "REF during REF"}});
+}
+
+TEST(CheckerDetailText, PowerDownRank)
+{
+    expectExactViolations(
+        {{cmd(CmdType::PdEnter, 0, 0), 0}, {act(0, 0, 5), 2}},
+        {{2, "power-down", "ACT to powered-down rank"}});
+    expectExactViolations(
+        {{cmd(CmdType::PdEnter, 0, 0), 0},
+         {cmd(CmdType::PdEnter, 0, 0), 5}},
+        {{5, "power-down", "PDE to powered-down rank"},
+         {5, "power-down", "PDE while powered down"}});
+    expectExactViolations(
+        {{cmd(CmdType::Ref, 0, 0), 0}, {cmd(CmdType::PdEnter, 0, 0), 10}},
+        {{10, "tRFC", "command to rank during refresh"},
+         {10, "power-down", "PDE during refresh"}});
+    expectExactViolations(
+        {{act(0, 1, 5), 0}, {cmd(CmdType::PdEnter, 0, 0), 50}},
+        {{50, "power-down", "precharge power-down with open row"}});
+    expectExactViolations(
+        {{cmd(CmdType::PdExit, 0, 0), 10}},
+        {{10, "power-down", "PDX while not powered down"}});
+}
+
+TEST(CheckerDetailText, PowerDownTiming)
+{
+    expectExactViolations(
+        {{cmd(CmdType::PdEnter, 0, 0), 0}, {cmd(CmdType::PdExit, 0, 0), 3}},
+        {{3, "tCKE", "PDX before minimum power-down residency"}});
+    expectExactViolations(
+        {{cmd(CmdType::PdEnter, 0, 0), 0},
+         {cmd(CmdType::PdExit, 0, 0), 4},
+         {act(0, 0, 5), 13}},
+        {{13, "tXP", "command before power-down exit latency elapsed"}});
+}
+
+TEST(CheckerDetailText, RetentionLapse)
+{
+    expectExactViolations(
+        {{cmd(CmdType::Ref, 1, 0), 50}, {act(1, 0, 5), 300}},
+        {{300, "refresh",
+          "rank 1 not refreshed since cycle 50 (2x tREFI elapsed)"}},
+        100);
+}
+
+TEST(CheckerDetailText, Activate)
+{
+    expectExactViolations(
+        {{act(0, 0, 5), 0}, {act(0, 0, 6), 100}},
+        {{100, "row-state", "ACT to bank with open row"}});
+    expectExactViolations(
+        {{act(0, 0, 5), 0}, {cmd(CmdType::Pre, 0, 0), 28}, {act(0, 0, 6), 38}},
+        {{38, "tRC", "ACT-to-ACT gap 38 < tRC"},
+         {38, "tRP", "ACT 38 before precharge completes at 39"}});
+    expectExactViolations(
+        {{act(0, 0, 5), 0}, {act(0, 1, 5), 3}},
+        {{3, "tRRD", "rank ACT-to-ACT gap 3 < tRRD"}});
+    expectExactViolations(
+        {{act(0, 0, 5), 0},
+         {act(0, 1, 5), 5},
+         {act(0, 2, 5), 10},
+         {act(0, 3, 5), 15},
+         {act(0, 4, 5), 20}},
+        {{20, "tFAW", "fifth ACT within tFAW window (20 < 24)"}});
+}
+
+TEST(CheckerDetailText, ColumnRowState)
+{
+    expectExactViolations(
+        {{cmd(CmdType::Rd, 0, 0, 5), 0}},
+        {{0, "row-state", "column command to closed bank"},
+         {0, "row-state",
+          "column command to row 5 but open row is 4294967295"}});
+    expectExactViolations(
+        {{act(0, 0, 5), 0}, {cmd(CmdType::Rd, 0, 0, 6), 11}},
+        {{11, "row-state", "column command to row 6 but open row is 5"}});
+    expectExactViolations(
+        {{act(0, 0, 5), 0}, {cmd(CmdType::Rd, 0, 0, 5), 5}},
+        {{5, "tRCD", "CAS 5 after ACT < tRCD"}});
+}
+
+TEST(CheckerDetailText, ColumnTurnaroundAndBus)
+{
+    expectExactViolations(
+        {{act(0, 0, 5), 0},
+         {act(0, 1, 5), 5},
+         {cmd(CmdType::Rd, 0, 0, 5), 16},
+         {cmd(CmdType::Rd, 0, 1, 5), 18}},
+        {{18, "tCCD", "RD-to-RD same rank < tCCD"},
+         {18, "data-bus", "burst at 29 overlaps burst ending 31"}});
+    expectExactViolations(
+        {{act(0, 0, 5), 0},
+         {act(0, 1, 5), 5},
+         {cmd(CmdType::Wr, 0, 0, 5), 16},
+         {cmd(CmdType::Wr, 0, 1, 5), 18}},
+        {{18, "tCCD", "WR-to-WR same rank < tCCD"},
+         {18, "data-bus", "burst at 23 overlaps burst ending 25"}});
+    expectExactViolations(
+        {{act(0, 0, 5), 0},
+         {cmd(CmdType::Rd, 0, 0, 5), 11},
+         {cmd(CmdType::Wr, 0, 0, 5), 15}},
+        {{15, "rd2wr", "RD-to-WR same rank gap 4 < 10"},
+         {15, "data-bus", "burst at 20 overlaps burst ending 26"}});
+    expectExactViolations(
+        {{act(0, 0, 5), 0},
+         {cmd(CmdType::Wr, 0, 0, 5), 11},
+         {cmd(CmdType::Rd, 0, 0, 5), 20}},
+        {{20, "tWTR", "WR-to-RD same rank gap 9 < 15"}});
+    expectExactViolations(
+        {{act(0, 0, 5), 0},
+         {act(1, 0, 5), 1},
+         {cmd(CmdType::Rd, 0, 0, 5), 11},
+         {cmd(CmdType::Rd, 1, 0, 5), 16}},
+        {{16, "tRTRS", "rank switch gap 1 < tRTRS"}});
+}
+
+TEST(CheckerDetailText, Precharge)
+{
+    expectExactViolations({{cmd(CmdType::Pre, 0, 0), 0}},
+                          {{0, "row-state", "PRE to closed bank"}});
+    expectExactViolations(
+        {{act(0, 0, 5), 0}, {cmd(CmdType::Pre, 0, 0), 10}},
+        {{10, "tRAS", "PRE 10 after ACT < tRAS"}});
+    expectExactViolations(
+        {{act(0, 0, 5), 0},
+         {cmd(CmdType::Rd, 0, 0, 5), 25},
+         {cmd(CmdType::Pre, 0, 0), 28}},
+        {{28, "tRTP", "PRE too soon after column read"}});
+    expectExactViolations(
+        {{act(0, 0, 5), 0},
+         {cmd(CmdType::Wr, 0, 0, 5), 20},
+         {cmd(CmdType::Pre, 0, 0), 30}},
+        {{30, "tWR", "PRE too soon after column write"}});
+}
+
+TEST(CheckerDetailText, RefreshPreconditions)
+{
+    expectExactViolations(
+        {{act(0, 3, 5), 0}, {cmd(CmdType::Ref, 0, 0), 100}},
+        {{100, "row-state", "REF with open row in bank 3"}});
+    expectExactViolations(
+        {{act(0, 2, 5), 0},
+         {cmd(CmdType::Pre, 0, 2), 30},
+         {cmd(CmdType::Ref, 0, 0), 35}},
+        {{35, "tRP", "REF before precharge completes in bank 2"}});
+}
