@@ -14,53 +14,50 @@ Cache::Cache(uint64_t sizeBytes, unsigned ways) : ways_(ways)
              "cache size {} not divisible into {} ways", sizeBytes, ways);
     const uint64_t nsets = lines / ways;
     fatal_if(!isPowerOf2(nsets), "cache set count must be a power of two");
-    sets_.resize(nsets);
-    for (auto &s : sets_)
-        s.ways.resize(ways);
+    numSets_ = nsets;
+    setShift_ = floorLog2(nsets);
+    tags_.assign(lines, kInvalidTag);
+    meta_.resize(lines);
 }
 
-unsigned
-Cache::setIndex(Addr addr) const
+size_t
+Cache::setBase(Addr addr) const
 {
-    return static_cast<unsigned>((addr / kLineBytes) %
-                                 sets_.size());
+    return static_cast<size_t>((addr / kLineBytes) & (numSets_ - 1)) *
+           ways_;
 }
 
 Addr
 Cache::tagOf(Addr addr) const
 {
-    return (addr / kLineBytes) / sets_.size();
+    return (addr / kLineBytes) >> setShift_;
 }
 
-Cache::Line *
-Cache::find(Addr addr)
-{
-    Set &set = sets_[setIndex(addr)];
-    const Addr tag = tagOf(addr);
-    for (auto &line : set.ways) {
-        if (line.valid && line.tag == tag)
-            return &line;
-    }
-    return nullptr;
-}
-
-const Cache::Line *
+size_t
 Cache::find(Addr addr) const
 {
-    return const_cast<Cache *>(this)->find(addr);
+    const size_t base = setBase(addr);
+    const Addr tag = tagOf(addr);
+    for (size_t i = base; i < base + ways_; ++i) {
+        if (tags_[i] == tag)
+            return i;
+    }
+    return kMiss;
 }
 
 AccessResult
 Cache::access(Addr addr, bool isStore)
 {
     AccessResult res;
-    if (Line *line = find(addr)) {
-        line->lruStamp = ++stamp_;
+    const size_t i = find(addr);
+    if (i != kMiss) {
+        Meta &line = meta_[i];
+        line.lruStamp = ++stamp_;
         if (isStore)
-            line->dirty = true;
-        if (line->prefetched) {
+            line.dirty = true;
+        if (line.prefetched) {
             res.prefetchHit = true;
-            line->prefetched = false;
+            line.prefetched = false;
         }
         hits_.inc();
         res.hit = true;
@@ -73,61 +70,59 @@ Cache::access(Addr addr, bool isStore)
 bool
 Cache::contains(Addr addr) const
 {
-    return find(addr) != nullptr;
+    return find(addr) != kMiss;
 }
 
 FillResult
 Cache::fill(Addr addr, bool dirty, bool prefetched)
 {
     FillResult res;
-    if (Line *line = find(addr)) {
+    if (const size_t i = find(addr); i != kMiss) {
         // Already present (e.g. prefetch raced a demand fill).
-        line->dirty = line->dirty || dirty;
+        meta_[i].dirty = meta_[i].dirty || dirty;
         return res;
     }
-    Set &set = sets_[setIndex(addr)];
-    Line *victim = &set.ways[0];
-    for (auto &line : set.ways) {
-        if (!line.valid) {
-            victim = &line;
+    const size_t base = setBase(addr);
+    size_t victim = base;
+    for (size_t i = base; i < base + ways_; ++i) {
+        if (tags_[i] == kInvalidTag) {
+            victim = i;
             break;
         }
-        if (line.lruStamp < victim->lruStamp)
-            victim = &line;
+        if (meta_[i].lruStamp < meta_[victim].lruStamp)
+            victim = i;
     }
-    if (victim->valid && victim->dirty) {
+    if (tags_[victim] != kInvalidTag && meta_[victim].dirty) {
         res.evictedDirty = true;
         res.writebackAddr =
-            (victim->tag * sets_.size() + setIndex(addr)) * kLineBytes;
+            (tags_[victim] * numSets_ + base / ways_) * kLineBytes;
     }
-    victim->valid = true;
-    victim->dirty = dirty;
-    victim->prefetched = prefetched;
-    victim->tag = tagOf(addr);
-    victim->lruStamp = ++stamp_;
+    tags_[victim] = tagOf(addr);
+    meta_[victim] = Meta{dirty, prefetched, ++stamp_};
     return res;
 }
 
 void
 Cache::markDirty(Addr addr)
 {
-    if (Line *line = find(addr))
-        line->dirty = true;
+    if (const size_t i = find(addr); i != kMiss)
+        meta_[i].dirty = true;
 }
 
 void
 Cache::saveState(Serializer &s) const
 {
+    // Per line: tag, valid, dirty, prefetched, LRU stamp. A way that
+    // was never filled saves tag 0.
     s.section("cache");
-    s.putU64(sets_.size());
-    for (const Set &set : sets_) {
-        for (const Line &line : set.ways) {
-            s.putU64(line.tag);
-            s.putBool(line.valid);
-            s.putBool(line.dirty);
-            s.putBool(line.prefetched);
-            s.putU64(line.lruStamp);
-        }
+    s.putU64(numSets_);
+    for (size_t i = 0; i < tags_.size(); ++i) {
+        const bool valid = tags_[i] != kInvalidTag;
+        s.putU64(valid ? tags_[i] : 0);
+        s.putBool(valid);
+        s.putBool(meta_[i].dirty);
+        s.putBool(meta_[i].prefetched);
+        s.putU64(meta_[i].lruStamp);
     }
     s.putU64(stamp_);
     hits_.saveState(s);
@@ -138,16 +133,17 @@ void
 Cache::restoreState(Deserializer &d)
 {
     d.section("cache");
-    if (d.getU64() != sets_.size())
+    if (d.getU64() != numSets_)
         d.fail("cache set count mismatch");
-    for (Set &set : sets_) {
-        for (Line &line : set.ways) {
-            line.tag = d.getU64();
-            line.valid = d.getBool();
-            line.dirty = d.getBool();
-            line.prefetched = d.getBool();
-            line.lruStamp = d.getU64();
-        }
+    for (size_t i = 0; i < tags_.size(); ++i) {
+        const Addr tag = d.getU64();
+        const bool valid = d.getBool();
+        if (valid && tag == kInvalidTag)
+            d.fail("cache tag out of range");
+        tags_[i] = valid ? tag : kInvalidTag;
+        meta_[i].dirty = d.getBool();
+        meta_[i].prefetched = d.getBool();
+        meta_[i].lruStamp = d.getU64();
     }
     stamp_ = d.getU64();
     hits_.restoreState(d);

@@ -66,7 +66,7 @@ class Cache
     /** Mark a resident line dirty (store completing after fill). */
     void markDirty(Addr addr);
 
-    unsigned numSets() const { return static_cast<unsigned>(sets_.size()); }
+    unsigned numSets() const { return static_cast<unsigned>(numSets_); }
     unsigned ways() const { return ways_; }
 
     const Counter &hits() const { return hits_; }
@@ -76,27 +76,32 @@ class Cache
     void restoreState(Deserializer &d);
 
   private:
-    struct Line
+    /** Tag of a way that holds no line (real tags are far smaller). */
+    static constexpr Addr kInvalidTag = ~Addr{0};
+    /** find() result for a line that is not present. */
+    static constexpr size_t kMiss = ~size_t{0};
+
+    struct Meta
     {
-        Addr tag = 0;
-        bool valid = false;
         bool dirty = false;
         bool prefetched = false;
         uint64_t lruStamp = 0;
     };
 
-    struct Set
-    {
-        std::vector<Line> ways;
-    };
-
-    Line *find(Addr addr);
-    const Line *find(Addr addr) const;
-    unsigned setIndex(Addr addr) const;
+    /** Index of the line holding `addr`, or kMiss. */
+    size_t find(Addr addr) const;
+    /** Index of the first way of `addr`'s set. */
+    size_t setBase(Addr addr) const;
     Addr tagOf(Addr addr) const;
 
     unsigned ways_ = 0;
-    std::vector<Set> sets_;
+    uint64_t numSets_ = 0;  ///< a power of two
+    unsigned setShift_ = 0; ///< log2(numSets_)
+    // Per way, set-major (set s holds [s * ways_, (s + 1) * ways_)).
+    // Tags are kept apart from the rest so a lookup reads one set's
+    // tags contiguously.
+    std::vector<Addr> tags_;
+    std::vector<Meta> meta_;
     uint64_t stamp_ = 0;
     Counter hits_;
     Counter misses_;

@@ -122,92 +122,12 @@ DramSystem::attachFaultInjector(fault::FaultInjector *inj)
     }
 }
 
-bool
-DramSystem::canIssue(const Command &cmd, Cycle now, std::string *why) const
-{
-    auto blocked = [&](const char *reason) {
-        if (why)
-            *why = reason;
-        return false;
-    };
-
-    if (!buses_.cmdBusFree(now))
-        return blocked("command bus busy");
-
-    fatal_if(cmd.rank >= ranks_.size(), "rank {} out of range", cmd.rank);
-    const Rank &rk = ranks_[cmd.rank];
-    if (cmd.type != CmdType::PdExit) {
-        if (now < rk.refreshEndsAt())
-            return blocked("rank refreshing");
-        if (rk.isPoweredDown())
-            return blocked("rank powered down");
-    }
-
-    switch (cmd.type) {
-      case CmdType::Act: {
-        const Bank &bk = rk.bank(cmd.bank);
-        if (bk.isOpen())
-            return blocked("bank has open row");
-        if (now < bk.nextAct())
-            return blocked("bank tRC/tRP");
-        if (now < rk.nextActRankLimit())
-            return blocked("rank tRRD/tFAW");
-        return true;
-      }
-      case CmdType::Rd:
-      case CmdType::RdA:
-      case CmdType::Wr:
-      case CmdType::WrA: {
-        const Bank &bk = rk.bank(cmd.bank);
-        const bool rd = isRead(cmd.type);
-        if (!bk.isOpen() || bk.openRow() != cmd.row)
-            return blocked("row not open");
-        if (rd && now < bk.nextRead())
-            return blocked("bank tRCD (read)");
-        if (!rd && now < bk.nextWrite())
-            return blocked("bank tRCD (write)");
-        if (rd && now < rk.nextRead())
-            return blocked("rank CAS turnaround (read)");
-        if (!rd && now < rk.nextWrite())
-            return blocked("rank CAS turnaround (write)");
-        const Cycle dataStart = now + (rd ? tp_.cas : tp_.cwd);
-        if (!buses_.dataBusFree(dataStart, cmd.rank))
-            return blocked("data bus / tRTRS");
-        return true;
-      }
-      case CmdType::Pre: {
-        const Bank &bk = rk.bank(cmd.bank);
-        if (!bk.isOpen())
-            return blocked("bank already closed");
-        if (now < bk.nextPre())
-            return blocked("bank tRAS/tRTP/tWR");
-        return true;
-      }
-      case CmdType::Ref:
-        if (!rk.allBanksIdleBy(now))
-            return blocked("banks not precharged for REF");
-        return true;
-      case CmdType::PdEnter:
-        if (rk.anyBankOpen())
-            return blocked("open rows prevent power-down");
-        if (now < rk.pdExitReadyAt())
-            return blocked("tXP after power-down exit");
-        return true;
-      case CmdType::PdExit:
-        if (!rk.isPoweredDown())
-            return blocked("rank not powered down");
-        if (now < rk.earliestPdExit())
-            return blocked("tCKE residency");
-        return true;
-    }
-    return blocked("unknown command");
-}
-
 IssueResult
 DramSystem::issue(const Command &cmd, Cycle now)
 {
-    std::string why;
-    const bool legal = canIssue(cmd, now, &why);
+    const char *why =
+        blockingRule(cmd.type, cmd.rank, cmd.bank, cmd.row, now);
+    const bool legal = why == nullptr;
     // Record before any panic so the crash snapshot includes the
     // command that killed the run.
     cmdLog_.record(cmd, now);
@@ -254,12 +174,12 @@ DramSystem::issue(const Command &cmd, Cycle now)
 
     switch (cmd.type) {
       case CmdType::Act:
-        rk.bank(cmd.bank).doActivate(now, cmd.row, tp_);
+        rk.activateBank(cmd.bank, now, cmd.row);
         rk.recordActivate(now, cmd.suppressed);
         break;
       case CmdType::Rd:
       case CmdType::RdA: {
-        rk.bank(cmd.bank).doRead(now, isAutoPrecharge(cmd.type), tp_);
+        rk.readBank(cmd.bank, now, isAutoPrecharge(cmd.type));
         rk.recordRead(now);
         res.dataStart = now + tp_.cas;
         res.dataEnd = res.dataStart + tp_.burst;
@@ -272,7 +192,7 @@ DramSystem::issue(const Command &cmd, Cycle now)
       }
       case CmdType::Wr:
       case CmdType::WrA: {
-        rk.bank(cmd.bank).doWrite(now, isAutoPrecharge(cmd.type), tp_);
+        rk.writeBank(cmd.bank, now, isAutoPrecharge(cmd.type));
         rk.recordWrite(now);
         res.dataStart = now + tp_.cwd;
         res.dataEnd = res.dataStart + tp_.burst;
@@ -284,7 +204,7 @@ DramSystem::issue(const Command &cmd, Cycle now)
         break;
       }
       case CmdType::Pre:
-        rk.bank(cmd.bank).doPrecharge(now, tp_);
+        rk.prechargeBank(cmd.bank, now);
         break;
       case CmdType::Ref:
         rk.startRefresh(now);

@@ -24,6 +24,7 @@
 #include "fault/command_log.hh"
 #include "sim/compiled_schedule.hh"
 #include "sim/types.hh"
+#include "util/logging.hh"
 
 namespace memsec {
 class RunReport;
@@ -55,10 +56,29 @@ class DramSystem
     DramSystem(const DramSystem &) = delete;
     DramSystem &operator=(const DramSystem &) = delete;
 
+    /**
+     * The device's one legality rule set: the first rule that blocks
+     * a `type` command to (rank, bank, row) at `now`, checked in a
+     * fixed order, or nullptr when the command is legal. canIssue()
+     * and issue() both derive from it. Inline, so a scheduler scan
+     * can test every candidate without building a Command or a
+     * string. Fatal on an out-of-range rank.
+     */
+    const char *blockingRule(CmdType type, unsigned rank, unsigned bank,
+                             unsigned row, Cycle now) const;
+
     /** True if `cmd` may legally issue at cycle `now`; optionally
      *  reports the blocking rule. */
-    bool canIssue(const Command &cmd, Cycle now,
-                  std::string *why = nullptr) const;
+    bool
+    canIssue(const Command &cmd, Cycle now,
+             std::string *why = nullptr) const
+    {
+        const char *rule =
+            blockingRule(cmd.type, cmd.rank, cmd.bank, cmd.row, now);
+        if (rule && why)
+            *why = rule;
+        return rule == nullptr;
+    }
 
     /**
      * Issue a command at cycle `now`. Panics if illegal. For column
@@ -165,6 +185,82 @@ class DramSystem
     std::string crashDir_; ///< empty = dump to stderr
     std::string crashTag_;
 };
+
+inline const char *
+DramSystem::blockingRule(CmdType type, unsigned rank, unsigned bank,
+                         unsigned row, Cycle now) const
+{
+    if (!buses_.cmdBusFree(now))
+        return "command bus busy";
+
+    fatal_if(rank >= ranks_.size(), "rank {} out of range", rank);
+    const Rank &rk = ranks_[rank];
+    if (type != CmdType::PdExit) {
+        if (now < rk.refreshEndsAt())
+            return "rank refreshing";
+        if (rk.isPoweredDown())
+            return "rank powered down";
+    }
+
+    switch (type) {
+      case CmdType::Act: {
+        const Bank &bk = rk.bank(bank);
+        if (bk.isOpen())
+            return "bank has open row";
+        if (now < bk.nextAct())
+            return "bank tRC/tRP";
+        if (now < rk.nextActRankLimit())
+            return "rank tRRD/tFAW";
+        return nullptr;
+      }
+      case CmdType::Rd:
+      case CmdType::RdA:
+      case CmdType::Wr:
+      case CmdType::WrA: {
+        const Bank &bk = rk.bank(bank);
+        const bool rd = type == CmdType::Rd || type == CmdType::RdA;
+        if (!bk.isOpen() || bk.openRow() != row)
+            return "row not open";
+        if (rd && now < bk.nextRead())
+            return "bank tRCD (read)";
+        if (!rd && now < bk.nextWrite())
+            return "bank tRCD (write)";
+        if (rd && now < rk.nextRead())
+            return "rank CAS turnaround (read)";
+        if (!rd && now < rk.nextWrite())
+            return "rank CAS turnaround (write)";
+        const Cycle dataStart = now + (rd ? tp_.cas : tp_.cwd);
+        if (!buses_.dataBusFree(dataStart, rank))
+            return "data bus / tRTRS";
+        return nullptr;
+      }
+      case CmdType::Pre: {
+        const Bank &bk = rk.bank(bank);
+        if (!bk.isOpen())
+            return "bank already closed";
+        if (now < bk.nextPre())
+            return "bank tRAS/tRTP/tWR";
+        return nullptr;
+      }
+      case CmdType::Ref:
+        if (!rk.allBanksIdleBy(now))
+            return "banks not precharged for REF";
+        return nullptr;
+      case CmdType::PdEnter:
+        if (rk.anyBankOpen())
+            return "open rows prevent power-down";
+        if (now < rk.pdExitReadyAt())
+            return "tXP after power-down exit";
+        return nullptr;
+      case CmdType::PdExit:
+        if (!rk.isPoweredDown())
+            return "rank not powered down";
+        if (now < rk.earliestPdExit())
+            return "tCKE residency";
+        return nullptr;
+    }
+    return "unknown command";
+}
 
 } // namespace memsec::dram
 

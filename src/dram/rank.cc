@@ -15,8 +15,8 @@ Rank::saveState(Serializer &s) const
         b.saveState(s);
     s.putU64(nextActRrd_);
     s.putU64(actWindow_.size());
-    for (Cycle c : actWindow_)
-        s.putU64(c);
+    for (size_t i = 0; i < actWindow_.size(); ++i)
+        s.putU64(actWindow_[i]);
     s.putU64(nextRead_);
     s.putU64(nextWrite_);
     s.putU64(refreshEnd_);
@@ -39,13 +39,16 @@ void
 Rank::restoreState(Deserializer &d)
 {
     d.section("rank");
-    for (auto &b : banks_)
+    openBanks_ = 0;
+    for (auto &b : banks_) {
         b.restoreState(d);
+        openBanks_ += b.isOpen();
+    }
     nextActRrd_ = d.getU64();
     const uint64_t acts = d.getU64();
     actWindow_.clear();
     for (uint64_t i = 0; i < acts; ++i)
-        actWindow_.push_back(d.getU64());
+        actWindow_.push(d.getU64());
     nextRead_ = d.getU64();
     nextWrite_ = d.getU64();
     refreshEnd_ = d.getU64();
@@ -69,15 +72,6 @@ Rank::Rank(unsigned banks, const TimingParams &tp)
 {
 }
 
-Cycle
-Rank::nextActRankLimit() const
-{
-    Cycle limit = nextActRrd_;
-    if (actWindow_.size() >= 4)
-        limit = std::max(limit, actWindow_.front() + tp_.faw);
-    return limit;
-}
-
 void
 Rank::recordActivate(Cycle t, bool suppressed)
 {
@@ -85,9 +79,7 @@ Rank::recordActivate(Cycle t, bool suppressed)
              "rank ACT at {} violates tRRD/tFAW limit {}", t,
              nextActRankLimit());
     nextActRrd_ = t + tp_.rrd;
-    actWindow_.push_back(t);
-    while (actWindow_.size() > 4)
-        actWindow_.pop_front();
+    actWindow_.push(t);
     if (suppressed)
         ++energy_.suppressedActs;
     else
@@ -112,14 +104,39 @@ Rank::recordWrite(Cycle t)
     nextRead_ = std::max(nextRead_, t + tp_.wr2rd());
 }
 
-bool
-Rank::anyBankOpen() const
+template <typename Op>
+void
+Rank::mutateBank(unsigned b, Op &&op)
 {
-    for (const auto &b : banks_) {
-        if (b.isOpen())
-            return true;
-    }
-    return false;
+    Bank &bk = banks_.at(b);
+    const bool wasOpen = bk.isOpen();
+    op(bk);
+    if (bk.isOpen() != wasOpen)
+        wasOpen ? --openBanks_ : ++openBanks_;
+}
+
+void
+Rank::activateBank(unsigned b, Cycle t, unsigned row)
+{
+    mutateBank(b, [&](Bank &bk) { bk.doActivate(t, row, tp_); });
+}
+
+void
+Rank::readBank(unsigned b, Cycle t, bool autoPre)
+{
+    mutateBank(b, [&](Bank &bk) { bk.doRead(t, autoPre, tp_); });
+}
+
+void
+Rank::writeBank(unsigned b, Cycle t, bool autoPre)
+{
+    mutateBank(b, [&](Bank &bk) { bk.doWrite(t, autoPre, tp_); });
+}
+
+void
+Rank::prechargeBank(unsigned b, Cycle t)
+{
+    mutateBank(b, [&](Bank &bk) { bk.doPrecharge(t, tp_); });
 }
 
 bool

@@ -7,12 +7,13 @@
 #ifndef MEMSEC_DRAM_RANK_HH
 #define MEMSEC_DRAM_RANK_HH
 
-#include <deque>
+#include <algorithm>
 #include <vector>
 
 #include "dram/bank.hh"
 #include "dram/timing.hh"
 #include "sim/types.hh"
+#include "util/recent_ring.hh"
 
 namespace memsec {
 class Serializer;
@@ -51,12 +52,28 @@ class Rank
   public:
     Rank(unsigned banks, const TimingParams &tp);
 
-    Bank &bank(unsigned b) { return banks_.at(b); }
     const Bank &bank(unsigned b) const { return banks_.at(b); }
     unsigned numBanks() const { return static_cast<unsigned>(banks_.size()); }
 
+    /**
+     * Bank commands (ACT, column read/write with optional
+     * auto-precharge, PRE). Banks change only through these, so the
+     * rank can count its open banks: anyBankOpen(), asked by every
+     * energy settle, is then O(1).
+     */
+    void activateBank(unsigned b, Cycle t, unsigned row);
+    void readBank(unsigned b, Cycle t, bool autoPre);
+    void writeBank(unsigned b, Cycle t, bool autoPre);
+    void prechargeBank(unsigned b, Cycle t);
+
     /** Earliest cycle an ACT may issue rank-wide (tRRD + tFAW). */
-    Cycle nextActRankLimit() const;
+    Cycle
+    nextActRankLimit() const
+    {
+        if (actWindow_.size() < 4)
+            return nextActRrd_;
+        return std::max(nextActRrd_, actWindow_.front() + tp_.faw);
+    }
 
     /** Earliest cycle a column-read may issue rank-wide. */
     Cycle nextRead() const { return nextRead_; }
@@ -75,7 +92,7 @@ class Rank
     void recordWrite(Cycle t);
 
     /** True iff any bank has an open row. */
-    bool anyBankOpen() const;
+    bool anyBankOpen() const { return openBanks_ > 0; }
 
     /** True iff every bank can accept an ACT at or before cycle t
      *  (used to check refresh preconditions). */
@@ -131,11 +148,15 @@ class Rank
     void restoreState(Deserializer &d);
 
   private:
+    /** Apply `op` to bank b, keeping openBanks_ in step. */
+    template <typename Op> void mutateBank(unsigned b, Op &&op);
+
     const TimingParams &tp_;
     std::vector<Bank> banks_;
+    unsigned openBanks_ = 0; ///< banks with an open row (derived)
 
     Cycle nextActRrd_ = 0;
-    std::deque<Cycle> actWindow_; ///< recent ACT times for tFAW
+    RecentRing<Cycle, 4> actWindow_; ///< recent ACT times for tFAW
     Cycle nextRead_ = 0;
     Cycle nextWrite_ = 0;
 

@@ -17,15 +17,16 @@
 #ifndef MEMSEC_DRAM_TIMING_CHECKER_HH
 #define MEMSEC_DRAM_TIMING_CHECKER_HH
 
-#include <deque>
 #include <map>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "dram/command.hh"
 #include "dram/timing.hh"
 #include "dram/timing_rules.hh"
 #include "sim/types.hh"
+#include "util/recent_ring.hh"
 
 namespace memsec {
 class Serializer;
@@ -108,7 +109,7 @@ class TimingChecker
 
     struct RankShadow
     {
-        std::deque<Cycle> actHistory;  ///< recent ACTs for tRRD/tFAW
+        RecentRing<Cycle, 4> actHistory; ///< last ACTs, for tRRD/tFAW
         Cycle lastRdCas = kNoCycle;
         Cycle lastWrCas = kNoCycle;
         Cycle refreshEnd = 0;
@@ -119,7 +120,24 @@ class TimingChecker
     };
 
     void fail(Cycle t, const std::string &rule, const std::string &detail);
-    void require(bool ok, Cycle t, RuleId rule, const std::string &detail);
+
+    /**
+     * Record a `rule` violation unless `ok`. `detail` is a string
+     * literal or a callable returning the text; the callable runs
+     * only when the check fails, so a passing check formats nothing
+     * and allocates nothing.
+     */
+    template <typename Detail>
+    void
+    require(bool ok, Cycle t, RuleId rule, Detail &&detail)
+    {
+        if (ok) [[likely]]
+            return;
+        if constexpr (std::is_invocable_v<Detail>)
+            fail(t, ruleName(rule), detail());
+        else
+            fail(t, ruleName(rule), detail);
+    }
 
     /** Shared-table minimum gap, as a Cycle for horizon arithmetic. */
     Cycle need(RuleId id) const

@@ -40,6 +40,12 @@ class CommandLog
     /** Commands ever recorded (not capped). */
     uint64_t totalRecorded() const { return total_; }
 
+    /** The most recently recorded command; totalRecorded() > 0. */
+    const dram::Command &newest() const
+    {
+        return ring_[(total_ - 1) % cap_].cmd;
+    }
+
     /** Human-readable dump, oldest to newest. */
     std::string snapshot() const;
 

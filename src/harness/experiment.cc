@@ -213,11 +213,17 @@ parseInterleave(const std::string &s)
     fatal("unknown interleave '{}'", s);
 }
 
+/** Longest FS frame fs.slot_weights may ask for (sum of weights).
+ *  FsScheduler stores one table entry per slot, so an unbounded sum
+ *  (eight weights of up to 2^32-1) would exhaust memory. */
+constexpr uint64_t kMaxSlotsPerFrame = 4096;
+
 /**
  * Parse fs.slot_weights ("2,1,1,..."): one unsigned integer per
- * domain, at least one nonzero. Strict per token: stoul would throw
- * on "x" and wrap "-1" to 4294967295 slots; from_chars on an unsigned
- * rejects signs, blanks, empty tokens and overflow.
+ * domain, at least one nonzero, summing to at most kMaxSlotsPerFrame.
+ * Strict per token: stoul would throw on "x" and wrap "-1" to
+ * 4294967295 slots; from_chars on an unsigned rejects signs, blanks,
+ * empty tokens and overflow.
  */
 std::vector<unsigned>
 parseSlotWeights(const std::string &list)
@@ -242,6 +248,13 @@ parseSlotWeights(const std::string &list)
     fatal_if(std::all_of(weights.begin(), weights.end(),
                          [](unsigned w) { return w == 0; }),
              "fs.slot_weights '{}' gives no domain a slot", list);
+    uint64_t frame = 0;
+    for (const unsigned w : weights)
+        frame += w;
+    fatal_if(frame > kMaxSlotsPerFrame,
+             "fs.slot_weights '{}' sums to a {}-slot frame; the limit is "
+             "{} slots",
+             list, frame, kMaxSlotsPerFrame);
     return weights;
 }
 

@@ -1,6 +1,7 @@
 #include "mem/memory_controller.hh"
 
 #include <algorithm>
+#include <functional>
 
 #include "fault/fault_injector.hh"
 #include "sched/scheduler.hh"
@@ -82,12 +83,6 @@ MemoryController::beginMeasurement()
 {
     for (Histogram &h : stats_.domainReadLatency)
         h.reset();
-}
-
-bool
-MemoryController::canAccept(DomainId domain, ReqType type) const
-{
-    return !queues_.at(domain).full(type);
 }
 
 void
@@ -228,9 +223,10 @@ MemoryController::finishRequest(std::unique_ptr<MemRequest> req,
             requestPool_.release(std::move(req));
         return;
     }
-    completions_.push(PendingCompletion{
-        completeAt, completionSeq_++,
-        std::shared_ptr<MemRequest>(std::move(req))});
+    completions_.push_back(
+        PendingCompletion{completeAt, completionSeq_++, std::move(req)});
+    std::push_heap(completions_.begin(), completions_.end(),
+                   std::greater<>());
 }
 
 void
@@ -265,9 +261,11 @@ MemoryController::tick(Cycle now)
 
     // Deliver completions due this cycle before scheduling, so cores
     // observe data at the earliest consistent time.
-    while (!completions_.empty() && completions_.top().at <= now) {
-        auto pc = completions_.top();
-        completions_.pop();
+    while (!completions_.empty() && completions_.front().at <= now) {
+        std::pop_heap(completions_.begin(), completions_.end(),
+                      std::greater<>());
+        PendingCompletion pc = std::move(completions_.back());
+        completions_.pop_back();
         MemRequest &req = *pc.req;
         req.completed = pc.at;
         if (req.type == ReqType::Read) {
@@ -301,7 +299,7 @@ MemoryController::nextWakeCycle(Cycle now) const
         return now + 1;
     Cycle wake = sched_->nextWakeCycle(now);
     if (!completions_.empty())
-        wake = std::min(wake, completions_.top().at);
+        wake = std::min(wake, completions_.front().at);
     return std::max(wake, now + 1);
 }
 
@@ -333,16 +331,20 @@ MemoryController::saveState(Serializer &s) const
         for (const auto &req : pq)
             serializeRequest(s, *req);
     }
-    // A priority_queue exposes only its top; drain a by-value copy to
-    // walk the pending completions in delivery order.
-    auto copy = completions_;
-    s.putU64(copy.size());
-    while (!copy.empty()) {
-        const PendingCompletion &pc = copy.top();
-        s.putU64(pc.at);
-        s.putU64(pc.seq);
-        serializeRequest(s, *pc.req);
-        copy.pop();
+    // The heap is not in delivery order: walk it sorted by (at, seq).
+    std::vector<const PendingCompletion *> pending;
+    pending.reserve(completions_.size());
+    for (const PendingCompletion &pc : completions_)
+        pending.push_back(&pc);
+    std::sort(pending.begin(), pending.end(),
+              [](const PendingCompletion *a, const PendingCompletion *b) {
+                  return *b > *a;
+              });
+    s.putU64(pending.size());
+    for (const PendingCompletion *pc : pending) {
+        s.putU64(pc->at);
+        s.putU64(pc->seq);
+        serializeRequest(s, *pc->req);
     }
     s.putU64(completionSeq_);
     s.putU64(reqIdSeq_);
@@ -390,7 +392,7 @@ MemoryController::restoreState(Deserializer &d)
             pq.push_back(std::move(req));
         }
     }
-    completions_ = {};
+    completions_.clear();
     const uint64_t pending = d.getU64();
     for (uint64_t i = 0; i < pending; ++i) {
         PendingCompletion pc;
@@ -400,8 +402,10 @@ MemoryController::restoreState(Deserializer &d)
         auto req = deserializeRequest(d, &hadClient);
         if (hadClient)
             req->client = clientOf(*req);
-        pc.req = std::shared_ptr<MemRequest>(std::move(req));
-        completions_.push(std::move(pc));
+        pc.req = std::move(req);
+        completions_.push_back(std::move(pc));
+        std::push_heap(completions_.begin(), completions_.end(),
+                       std::greater<>());
     }
     completionSeq_ = d.getU64();
     reqIdSeq_ = d.getU64();

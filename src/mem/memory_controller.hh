@@ -15,7 +15,6 @@
 
 #include <deque>
 #include <memory>
-#include <queue>
 #include <vector>
 
 #include "dram/dram_system.hh"
@@ -93,8 +92,14 @@ class MemoryController : public Component
     MemClient *clientFor(DomainId domain) const;
 
     /** True if a new request of this type from `domain` can be
-     *  queued this cycle (reads and writes budget separately). */
-    bool canAccept(DomainId domain, ReqType type = ReqType::Read) const;
+     *  queued this cycle (reads and writes budget separately).
+     *  Inline: under fast-forward every sleeping core's wake memo
+     *  re-probes it on each executed cycle. */
+    bool
+    canAccept(DomainId domain, ReqType type = ReqType::Read) const
+    {
+        return !queues_.at(domain).full(type);
+    }
 
     /**
      * Accept a transaction. Decodes the address, performs store-to-
@@ -192,7 +197,7 @@ class MemoryController : public Component
     {
         Cycle at = 0;
         uint64_t seq = 0; ///< tie-break to keep completion order stable
-        std::shared_ptr<MemRequest> req;
+        std::unique_ptr<MemRequest> req;
         bool operator>(const PendingCompletion &o) const
         {
             return at != o.at ? at > o.at : seq > o.seq;
@@ -207,10 +212,10 @@ class MemoryController : public Component
     std::deque<TransactionQueue> queues_;
     std::vector<std::deque<std::unique_ptr<MemRequest>>> prefetchQueues_;
     std::unique_ptr<sched::Scheduler> sched_;
-    std::priority_queue<PendingCompletion,
-                        std::vector<PendingCompletion>,
-                        std::greater<PendingCompletion>>
-        completions_;
+    /** Min-heap on (at, seq), kept with std::push_heap/pop_heap. Unlike
+     *  std::priority_queue it lets the due request be moved out, so a
+     *  completion allocates nothing beyond the heap's own storage. */
+    std::vector<PendingCompletion> completions_;
     uint64_t completionSeq_ = 0;
     ReqId reqIdSeq_ = 0;
     std::vector<MemClient *> clients_; ///< completion sink per domain

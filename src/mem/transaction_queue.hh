@@ -57,6 +57,11 @@ class TransactionQueue
     /** Entry at position i (0 = oldest). */
     const MemRequest *at(size_t i) const { return entries_.at(i).get(); }
 
+    /** Oldest-first iteration over the owned entries (no bounds
+     *  checks; for per-cycle scheduler scans). */
+    auto begin() { return entries_.begin(); }
+    auto end() { return entries_.end(); }
+
     /** Oldest entry satisfying pred, or nullptr. A const queue hands
      *  out a const pointer — the old single const method returned a
      *  mutable MemRequest*, silently laundering away constness. */

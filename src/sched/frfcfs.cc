@@ -13,19 +13,16 @@ using dram::CmdType;
 using dram::Command;
 
 FrFcfsEngine::FrFcfsEngine(mem::MemoryController &mc, const Options &opt)
-    : mc_(mc), dram_(mc.dram()), opt_(opt)
+    : mc_(mc), dram_(mc.dram()), opt_(opt), scan_(mc.numDomains()),
+      usefulRowStamp_(static_cast<size_t>(dram_.numRanks()) *
+                      dram_.geometry().banksPerRank),
+      banksPerRank_(dram_.geometry().banksPerRank)
 {
 }
 
 void
-FrFcfsEngine::updateDrainMode(const std::vector<DomainId> &domains)
+FrFcfsEngine::updateDrainMode(size_t reads, size_t writes)
 {
-    size_t writes = 0;
-    size_t reads = 0;
-    for (DomainId d : domains) {
-        writes += mc_.queue(d).writeCount();
-        reads += mc_.queue(d).readCount();
-    }
     if (drainingWrites_) {
         if (writes <= opt_.writeLoWatermark)
             drainingWrites_ = false;
@@ -37,50 +34,32 @@ FrFcfsEngine::updateDrainMode(const std::vector<DomainId> &domains)
 
 bool
 FrFcfsEngine::tick(Cycle now, const std::vector<DomainId> &domains,
-                   const TurnGate &gate)
+                   unsigned avoidRank)
 {
-    updateDrainMode(domains);
-    const bool wantWrites = drainingWrites_;
-
-    // Type-aware turn-end gates (see TurnGate): each bound keeps the
-    // command's shared-state footprint inside the current turn.
-    const auto &tp = dram_.timing();
-    bool mayAct = true;
-    bool mayCasRead = true;
-    bool mayCasWrite = true;
-    bool inDeadTime = false;
-    if (gate.turnEnd != kNoCycle) {
-        const Cycle tE = gate.turnEnd;
-        // Reads: burst plus a rank switch must end by tE.
-        mayCasRead = now + tp.cas + tp.burst + tp.rtrs <= tE;
-        if (gate.sharedBanks) {
-            // Writes must also reach precharged state by tE.
-            mayCasWrite =
-                now + tp.cwd + tp.burst + tp.wr + tp.rp <= tE;
-            // An ACT must allow tRAS + tRP before tE.
-            mayAct = now + tp.ras + tp.rp <= tE;
-        } else {
-            // Private banks: rows persist, but the write-to-read
-            // turnaround and the tFAW window must not spill.
-            mayCasWrite = now + tp.wr2rd() <= tE;
-            mayAct = now + (tp.faw - 3 * tp.rrd) + 1 <= tE;
-        }
-        if (gate.deadTime > 0)
-            mayAct = mayAct && now + gate.deadTime <= tE;
-        inDeadTime = !mayAct;
+    // One pass over the domains fetches each queue once, for both the
+    // drain-mode totals and the candidate scan below.
+    size_t reads = 0;
+    size_t writes = 0;
+    size_t nq = 0;
+    for (DomainId d : domains) {
+        mem::TransactionQueue &q = mc_.queue(d);
+        reads += q.readCount();
+        writes += q.writeCount();
+        scan_[nq++] = &q;
     }
+    updateDrainMode(reads, writes);
+    const bool wantWrites = drainingWrites_;
 
     // Single pass over the queues: find the oldest ready row-hit CAS,
     // the oldest ACT for a closed bank, and the oldest PRE candidate
-    // for a conflicting open row. Also remember which open rows still
+    // for a conflicting open row. Also stamp which open rows still
     // have pending hits so PRE never closes a useful row.
     MemRequest *casCand = nullptr;
     MemRequest *actCand = nullptr;
     MemRequest *preCand = nullptr;
-    // (rank,bank) pairs whose open row has at least one pending hit.
-    std::vector<std::pair<unsigned, unsigned>> usefulRows;
+    const uint64_t stamp = ++tickStamp_;
 
-    auto older = [](MemRequest *a, MemRequest *b) {
+    auto older = [](const MemRequest *a, const MemRequest *b) {
         return !b || a->arrival < b->arrival ||
                (a->arrival == b->arrival && a->id < b->id);
     };
@@ -88,7 +67,7 @@ FrFcfsEngine::tick(Cycle now, const std::vector<DomainId> &domains,
     // while switching ranks costs tRTRS — prefer CAS candidates on
     // the rank that last owned the data bus.
     const unsigned affineRank = dram_.buses().lastDataRank();
-    auto betterCas = [&](MemRequest *a, MemRequest *b) {
+    auto betterCas = [&](const MemRequest *a, const MemRequest *b) {
         if (!b)
             return true;
         const bool aAff = a->loc.rank == affineRank;
@@ -97,39 +76,35 @@ FrFcfsEngine::tick(Cycle now, const std::vector<DomainId> &domains,
             return aAff;
         return older(a, b);
     };
+    // Legality comes from the device's own rule set; it has no side
+    // effects, so it is asked only of entries that would win.
+    auto legal = [&](CmdType type, const MemRequest *r, unsigned row) {
+        return dram_.blockingRule(type, r->loc.rank, r->loc.bank, row,
+                                  now) == nullptr;
+    };
 
-    for (DomainId d : domains) {
-        const mem::TransactionQueue &q = mc_.queue(d);
-        for (size_t i = 0; i < q.size(); ++i) {
-            MemRequest *r = const_cast<MemRequest *>(q.at(i));
+    for (size_t qi = 0; qi < nq; ++qi) {
+        for (const auto &entry : *scan_[qi]) {
+            MemRequest *r = entry.get();
             const bool isWrite = r->type == ReqType::Write;
             if (isWrite != wantWrites)
                 continue;
-            if (r->loc.rank == gate.avoidRank)
+            if (r->loc.rank == avoidRank)
                 continue;
-            const dram::Bank &bk = dram_.rank(r->loc.rank).bank(r->loc.bank);
+            const dram::Bank &bk =
+                dram_.rank(r->loc.rank).bank(r->loc.bank);
             if (bk.isOpen() && bk.openRow() == r->loc.row) {
-                usefulRows.emplace_back(r->loc.rank, r->loc.bank);
-                if (isWrite ? !mayCasWrite : !mayCasRead)
-                    continue;
-                Command cas{isWrite ? CmdType::Wr : CmdType::Rd,
-                            r->loc.rank, r->loc.bank, r->loc.row, r->id,
-                            false};
-                if (dram_.canIssue(cas, now) && betterCas(r, casCand))
+                usefulRowStamp_[r->loc.rank * banksPerRank_ +
+                                r->loc.bank] = stamp;
+                if (betterCas(r, casCand) &&
+                    legal(isWrite ? CmdType::Wr : CmdType::Rd, r,
+                          r->loc.row))
                     casCand = r;
             } else if (!bk.isOpen()) {
-                if (!mayAct)
-                    continue;
-                Command act{CmdType::Act, r->loc.rank, r->loc.bank,
-                            r->loc.row, r->id, false};
-                if (dram_.canIssue(act, now) && older(r, actCand))
+                if (older(r, actCand) && legal(CmdType::Act, r, r->loc.row))
                     actCand = r;
             } else {
-                if (!mayAct)
-                    continue;
-                Command pre{CmdType::Pre, r->loc.rank, r->loc.bank,
-                            bk.openRow(), r->id, false};
-                if (dram_.canIssue(pre, now) && older(r, preCand))
+                if (older(r, preCand) && legal(CmdType::Pre, r, bk.openRow()))
                     preCand = r;
             }
         }
@@ -143,41 +118,19 @@ FrFcfsEngine::tick(Cycle now, const std::vector<DomainId> &domains,
         issueFor(actCand, false, now);
         return true;
     }
-    if (preCand) {
-        // Only close a row nobody still wants.
-        const auto key = std::make_pair(preCand->loc.rank,
-                                        preCand->loc.bank);
-        if (std::find(usefulRows.begin(), usefulRows.end(), key) ==
-            usefulRows.end()) {
-            const dram::Bank &bk =
-                dram_.rank(preCand->loc.rank).bank(preCand->loc.bank);
-            Command pre{CmdType::Pre, preCand->loc.rank, preCand->loc.bank,
-                        bk.openRow(), preCand->id, false};
-            dram_.issue(pre, now);
-            ++rowConflicts_;
-            return true;
-        }
+    // Only close a row nobody still wants.
+    if (preCand && usefulRowStamp_[preCand->loc.rank * banksPerRank_ +
+                                   preCand->loc.bank] != stamp) {
+        const dram::Bank &bk =
+            dram_.rank(preCand->loc.rank).bank(preCand->loc.bank);
+        Command pre{CmdType::Pre, preCand->loc.rank, preCand->loc.bank,
+                    bk.openRow(), preCand->id, false};
+        dram_.issue(pre, now);
+        ++rowConflicts_;
+        return true;
     }
 
-    if (inDeadTime && gate.sharedBanks &&
-        now + tp.rp <= gate.turnEnd) {
-        // Dead time with shared banks: close any open rows so the
-        // next turn starts from a precharged state (TP cleanup).
-        for (unsigned r = 0; r < dram_.numRanks(); ++r) {
-            for (unsigned b = 0; b < dram_.rank(r).numBanks(); ++b) {
-                const dram::Bank &bk = dram_.rank(r).bank(b);
-                if (!bk.isOpen())
-                    continue;
-                Command pre{CmdType::Pre, r, b, bk.openRow(), 0, false};
-                if (dram_.canIssue(pre, now)) {
-                    dram_.issue(pre, now);
-                    return true;
-                }
-            }
-        }
-    }
-
-    if (opt_.allowPrefetchPromote && !inDeadTime) {
+    if (opt_.allowPrefetchPromote) {
         // Update the utilisation window every 1024 cycles.
         if (now - utilWindowStart_ >= 1024) {
             const uint64_t busy = dram_.buses().dataBusyCycles();
@@ -192,7 +145,7 @@ FrFcfsEngine::tick(Cycle now, const std::vector<DomainId> &domains,
     return false;
 }
 
-bool
+void
 FrFcfsEngine::issueFor(MemRequest *req, bool isCas, Cycle now)
 {
     if (!isCas) {
@@ -201,7 +154,7 @@ FrFcfsEngine::issueFor(MemRequest *req, bool isCas, Cycle now)
         dram_.issue(act, now);
         if (req->firstCommand == kNoCycle)
             req->firstCommand = now;
-        return true;
+        return;
     }
 
     const bool isWrite = req->type == ReqType::Write;
@@ -217,7 +170,6 @@ FrFcfsEngine::issueFor(MemRequest *req, bool isCas, Cycle now)
     mc_.noteBurst(false);
     auto owned = mc_.queue(req->domain).take(req);
     mc_.finishRequest(std::move(owned), res.dataEnd);
-    return true;
 }
 
 void
@@ -286,10 +238,10 @@ FrFcfsScheduler::serviceRefresh(Cycle now, unsigned &avoidRank)
 void
 FrFcfsScheduler::tick(Cycle now)
 {
-    FrFcfsEngine::TurnGate gate;
-    if (refreshEnabled_ && serviceRefresh(now, gate.avoidRank))
+    unsigned avoidRank = FrFcfsEngine::kNoRank;
+    if (refreshEnabled_ && serviceRefresh(now, avoidRank))
         return;
-    engine_.tick(now, allDomains_, gate);
+    engine_.tick(now, allDomains_, avoidRank);
 }
 
 Cycle

@@ -4,10 +4,9 @@
  *
  * The engine implements first-ready, first-come-first-served
  * scheduling with open-page row management, watermark-based write
- * draining, and optional prefetch promotion. It is reusable: the
- * baseline runs it over all domains with no time horizon; Temporal
- * Partitioning runs it over the single active domain with a
- * turn-end horizon (the dead time).
+ * draining, and optional prefetch promotion, over every domain's
+ * queue at once. Only the baseline uses it; the secure schedulers
+ * plan their commands through the shared replay pipeline instead.
  */
 
 #ifndef MEMSEC_SCHED_FRFCFS_HH
@@ -21,7 +20,8 @@ namespace memsec::sched {
 
 /**
  * One cycle of FR-FCFS decision-making over a set of domains.
- * Stateless between calls except for the read/write drain mode.
+ * Stateless between calls except for the read/write drain mode (and
+ * the prefetch throttle). The per-cycle scan allocates nothing.
  */
 class FrFcfsEngine
 {
@@ -33,48 +33,18 @@ class FrFcfsEngine
         bool allowPrefetchPromote = false;
     };
 
+    /** avoidRank value meaning "every rank may be scheduled". */
+    static constexpr unsigned kNoRank = ~0u;
+
     FrFcfsEngine(mem::MemoryController &mc, const Options &opt);
 
     /**
-     * Turn-end gating for Temporal Partitioning: every command's
-     * side effects on shared state (data bus occupancy, rank CAS
-     * turnaround windows, tRRD/tFAW, row state for shared banks)
-     * must be clean by `turnEnd` so the next domain's service cannot
-     * depend on this one's behaviour. Pass turnEnd == kNoCycle for
-     * unrestricted operation (the non-secure baseline).
-     */
-    struct TurnGate
-    {
-        Cycle turnEnd = kNoCycle;
-        /** Extra margin on transaction starts (the configured TP
-         *  "dead time"); the effective ACT gate is the larger of
-         *  this and the timing-derived bound. */
-        unsigned deadTime = 0;
-        /** Banks shared between domains (no spatial partitioning):
-         *  rows must also be precharged by turn end. */
-        bool sharedBanks = false;
-        /** Rank being drained for refresh: no new commands to it. */
-        unsigned avoidRank = ~0u;
-    };
-
-    /**
      * Try to issue one command at `now` for domains in `domains`,
-     * honouring the turn gate. Returns true if a command was issued.
+     * issuing nothing to `avoidRank` (the rank being drained for
+     * refresh). Returns true if a command was issued.
      */
     bool tick(Cycle now, const std::vector<DomainId> &domains,
-              const TurnGate &gate);
-
-    /** Ungated tick (the non-secure baseline). */
-    bool
-    tick(Cycle now, const std::vector<DomainId> &domains)
-    {
-        return tick(now, domains, TurnGate{});
-    }
-
-    /** Forget the read/write drain mode (TP calls this at turn
-     *  boundaries so one domain's drain state never carries into
-     *  another domain's turn — that would be an information leak). */
-    void resetDrainState() { drainingWrites_ = false; }
+              unsigned avoidRank = kNoRank);
 
     /** Drain mode still armed (it settles on the next idle tick). */
     bool drainingWrites() const { return drainingWrites_; }
@@ -91,14 +61,8 @@ class FrFcfsEngine
     void restoreState(Deserializer &d);
 
   private:
-    struct Candidate
-    {
-        mem::MemRequest *req = nullptr;
-        enum class Action { None, Cas, Act, Pre } action = Action::None;
-    };
-
-    bool issueFor(mem::MemRequest *req, bool isCas, Cycle now);
-    void updateDrainMode(const std::vector<DomainId> &domains);
+    void issueFor(mem::MemRequest *req, bool isCas, Cycle now);
+    void updateDrainMode(size_t reads, size_t writes);
     void promotePrefetches(const std::vector<DomainId> &domains,
                            Cycle now);
 
@@ -114,6 +78,17 @@ class FrFcfsEngine
     uint64_t rowHits_ = 0;
     uint64_t rowMisses_ = 0;
     uint64_t rowConflicts_ = 0;
+
+    // Per-tick scratch, sized once so a tick never allocates (not
+    // checkpointed: nothing in it outlives the tick).
+    /** The queues being scanned this tick, in `domains` order. */
+    std::vector<mem::TransactionQueue *> scan_;
+    /** Per (rank, bank): the tick stamp at which its open row last
+     *  had a pending hit. A bank with a pending hit this tick keeps
+     *  its row (no PRE). */
+    std::vector<uint64_t> usefulRowStamp_;
+    uint64_t tickStamp_ = 0;
+    unsigned banksPerRank_ = 0;
 };
 
 /** The optimised non-secure baseline (stand-in for the MSC winner). */

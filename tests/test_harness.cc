@@ -153,13 +153,21 @@ TEST(Harness, MalformedSlotWeightsAreFatal)
     // std::invalid_argument or a 4294967295-slot allocation.
     for (const char *bad :
          {"1,x,1,1", "1,-1,1,1", "1,,1,1", "1,1,1,", ",1,1,1",
-          "1, 1,1,1", "1,+1,1,1", "1,4294967296,1,1", "0,0,0,0"}) {
+          "1, 1,1,1", "1,+1,1,1", "1,4294967296,1,1", "0,0,0,0",
+          "1,4294967295,1,1", "4093,1,1,2"}) {
         Config c = tinyConfig("fs_rp", "mcf");
         c.set("fs.slot_weights", bad);
         EXPECT_EXIT(runExperiment(c), ::testing::ExitedWithCode(1),
                     "fs.slot_weights")
             << bad;
     }
+    // A valid but huge weight: the fatal names the frame it would
+    // build (the sum, past 32 bits) before anything is allocated.
+    Config c = tinyConfig("fs_rp", "mcf");
+    c.set("fs.slot_weights", "1,4294967295,1,4294967295");
+    EXPECT_EXIT(runExperiment(c), ::testing::ExitedWithCode(1),
+                "fs.slot_weights .* sums to a 8589934592-slot frame; the "
+                "limit is 4096 slots");
 }
 
 TEST(Harness, ZeroQueueCapacityIsFatal)

@@ -64,7 +64,7 @@ TEST(Rank, RefreshBlocksBanks)
 TEST(Rank, RefreshWithOpenRowPanics)
 {
     Rank r(8, tp);
-    r.bank(0).doActivate(0, 1, tp);
+    r.activateBank(0, 0, 1);
     EXPECT_THROW(r.startRefresh(50), std::logic_error);
 }
 
@@ -85,7 +85,7 @@ TEST(Rank, PowerDownLifecycle)
 TEST(Rank, PowerDownWithOpenRowPanics)
 {
     Rank r(8, tp);
-    r.bank(0).doActivate(0, 1, tp);
+    r.activateBank(0, 0, 1);
     EXPECT_THROW(r.enterPowerDown(50), std::logic_error);
 }
 
@@ -100,9 +100,9 @@ TEST(Rank, PowerStateClassification)
 {
     Rank r(8, tp);
     EXPECT_EQ(r.powerState(0), PowerState::PrechargeStandby);
-    r.bank(2).doActivate(0, 1, tp);
+    r.activateBank(2, 0, 1);
     EXPECT_EQ(r.powerState(5), PowerState::ActiveStandby);
-    r.bank(2).doPrecharge(tp.ras, tp);
+    r.prechargeBank(2, tp.ras);
     EXPECT_EQ(r.powerState(tp.ras + 1), PowerState::PrechargeStandby);
     r.startRefresh(100);
     EXPECT_EQ(r.powerState(150), PowerState::Refreshing);
@@ -115,7 +115,7 @@ TEST(Rank, EnergyTickAccumulatesByState)
     for (Cycle t = 0; t < 10; ++t)
         r.accountEnergySpan(t, t + 1);
     EXPECT_EQ(r.energy().cyclesPrecharge, 10u);
-    r.bank(0).doActivate(10, 1, tp);
+    r.activateBank(0, 10, 1);
     for (Cycle t = 10; t < 15; ++t)
         r.accountEnergySpan(t, t + 1);
     EXPECT_EQ(r.energy().cyclesActive, 5u);
@@ -135,9 +135,9 @@ TEST(Rank, AllBanksIdleBy)
 {
     Rank r(8, tp);
     EXPECT_TRUE(r.allBanksIdleBy(0));
-    r.bank(3).doActivate(0, 1, tp);
+    r.activateBank(3, 0, 1);
     EXPECT_FALSE(r.allBanksIdleBy(100));
-    r.bank(3).doPrecharge(tp.ras, tp);
+    r.prechargeBank(3, tp.ras);
     EXPECT_FALSE(r.allBanksIdleBy(tp.ras + tp.rp - 1));
     EXPECT_TRUE(r.allBanksIdleBy(tp.rc));
 }
