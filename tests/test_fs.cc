@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
+#include <string>
+#include <vector>
 
+#include "fault/fault_injector.hh"
 #include "mem/memory_controller.hh"
 #include "sched/fs.hh"
 
@@ -300,4 +304,134 @@ TEST_F(FsTest, DummyFractionFormula)
     const double frac = g.lookup("dummy_fraction");
     EXPECT_GT(frac, 0.9);
     EXPECT_LT(frac, 1.0);
+}
+
+// The sim.compiled=on offer is FsScheduler's static proof of its own
+// slot template. Pin the verdict for every FS mode, both pinned
+// references the certifier reaches (rank/RAS l=12, bank/data l=21),
+// SLA-weighted frames, the triple-alternation phantom pad and refresh
+// epochs, so that no rework of the template or the verifier can move
+// one. An attached injector perturbs the template and must decline.
+TEST_F(FsTest, CompiledReplayVerdictsArePinned)
+{
+    struct Case
+    {
+        const char *what;
+        FsMode mode;
+        unsigned domains;
+        std::vector<unsigned> weights;
+        bool pinRef;
+        core::PeriodicRef ref;
+    };
+    const std::vector<Case> cases = {
+        {"rank/4", FsMode::RankPart, 4, {}, false, {}},
+        {"rank/8", FsMode::RankPart, 8, {}, false, {}},
+        {"rank/8 w2", FsMode::RankPart, 8, {2, 1, 1, 1, 1, 1, 1, 1}, false,
+         {}},
+        {"rank/4 w2", FsMode::RankPart, 4, {2, 1, 1, 1}, false, {}},
+        {"rank/2 w3,1", FsMode::RankPart, 2, {3, 1}, false, {}},
+        {"rank-ras/4", FsMode::RankPart, 4, {}, true,
+         core::PeriodicRef::Ras},
+        {"rank-ras/8", FsMode::RankPart, 8, {}, true,
+         core::PeriodicRef::Ras},
+        {"bank/4", FsMode::BankPart, 4, {}, false, {}},
+        {"bank/8", FsMode::BankPart, 8, {}, false, {}},
+        {"bank/8 w2", FsMode::BankPart, 8, {2, 1, 1, 1, 1, 1, 1, 1}, false,
+         {}},
+        {"bank/2 w3,1", FsMode::BankPart, 2, {3, 1}, false, {}},
+        {"bank-data/4", FsMode::BankPart, 4, {}, true,
+         core::PeriodicRef::Data},
+        {"bank-data/8", FsMode::BankPart, 8, {}, true,
+         core::PeriodicRef::Data},
+        {"none/4", FsMode::NoPart, 4, {}, false, {}},
+        {"none/8", FsMode::NoPart, 8, {}, false, {}},
+        {"none/4 w2", FsMode::NoPart, 4, {2, 1, 1, 1}, false, {}},
+        {"none/2 w3,1", FsMode::NoPart, 2, {3, 1}, false, {}},
+        {"triple/4", FsMode::TripleAlt, 4, {}, false, {}},
+        {"triple/6", FsMode::TripleAlt, 6, {}, false, {}},
+        {"triple/8", FsMode::TripleAlt, 8, {}, false, {}},
+        {"triple/8 w2", FsMode::TripleAlt, 8, {2, 1, 1, 1, 1, 1, 1, 1},
+         false, {}},
+        {"triple/2 w3,1", FsMode::TripleAlt, 2, {3, 1}, false, {}},
+    };
+
+    sched::CompiledReplayOptions on;
+    on.mode = CompiledMode::On;
+    fault::FaultSpec skew;
+    skew.kind = fault::FaultKind::SlotSkew;
+    fault::FaultInjector injector(skew);
+
+    std::ostringstream verdicts;
+    for (const Case &c : cases) {
+        for (bool refresh : {false, true}) {
+            FsScheduler::Params p;
+            p.slotWeights = c.weights;
+            p.pinRef = c.pinRef;
+            p.ref = c.ref;
+            p.refresh = refresh;
+            build(c.mode, c.domains, p);
+            verdicts << c.what << (refresh ? " +ref" : "") << ": "
+                     << (fs->enableCompiledReplay(on) ? "proven"
+                                                      : "declined")
+                     << "\n";
+
+            build(c.mode, c.domains, p);
+            EXPECT_FALSE(fs->enableCompiledReplay({}))
+                << c.what << ": sim.compiled=off offers no skip";
+
+            build(c.mode, c.domains, p);
+            fs->attachFaultInjector(&injector);
+            EXPECT_FALSE(fs->enableCompiledReplay(on))
+                << c.what << ": an injector must keep the audit";
+        }
+    }
+    // Weighted frames are proven over their structural slot positions
+    // (one label per non-phantom slot), exactly as before the template
+    // was shared.
+    const std::string expected =
+        "rank/4: proven\n"
+        "rank/4 +ref: proven\n"
+        "rank/8: proven\n"
+        "rank/8 +ref: proven\n"
+        "rank/8 w2: proven\n"
+        "rank/8 w2 +ref: proven\n"
+        "rank/4 w2: proven\n"
+        "rank/4 w2 +ref: proven\n"
+        "rank/2 w3,1: proven\n"
+        "rank/2 w3,1 +ref: proven\n"
+        "rank-ras/4: proven\n"
+        "rank-ras/4 +ref: proven\n"
+        "rank-ras/8: proven\n"
+        "rank-ras/8 +ref: proven\n"
+        "bank/4: proven\n"
+        "bank/4 +ref: proven\n"
+        "bank/8: proven\n"
+        "bank/8 +ref: proven\n"
+        "bank/8 w2: proven\n"
+        "bank/8 w2 +ref: proven\n"
+        "bank/2 w3,1: proven\n"
+        "bank/2 w3,1 +ref: proven\n"
+        "bank-data/4: proven\n"
+        "bank-data/4 +ref: proven\n"
+        "bank-data/8: proven\n"
+        "bank-data/8 +ref: proven\n"
+        "none/4: proven\n"
+        "none/4 +ref: proven\n"
+        "none/8: proven\n"
+        "none/8 +ref: proven\n"
+        "none/4 w2: proven\n"
+        "none/4 w2 +ref: proven\n"
+        "none/2 w3,1: proven\n"
+        "none/2 w3,1 +ref: proven\n"
+        "triple/4: proven\n"
+        "triple/4 +ref: proven\n"
+        "triple/6: proven\n"
+        "triple/6 +ref: proven\n"
+        "triple/8: proven\n"
+        "triple/8 +ref: proven\n"
+        "triple/8 w2: proven\n"
+        "triple/8 w2 +ref: proven\n"
+        "triple/2 w3,1: proven\n"
+        "triple/2 w3,1 +ref: proven\n";
+    EXPECT_EQ(verdicts.str(), expected);
 }
