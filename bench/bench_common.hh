@@ -125,7 +125,7 @@ struct PerfMetric
     double skipRatio = 0.0;    ///< skipped / (executed + skipped)
     uint64_t simCycles = 0;    ///< simulated cycles measured
     /** Execution mode that produced the point (naive / fastforward /
-     *  compiled / compiled_verify); empty for kernel micro metrics. */
+     *  compiled); empty for kernel micro metrics. */
     std::string mode;
 };
 

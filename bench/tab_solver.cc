@@ -103,9 +103,13 @@ drawFigure1(const dram::TimingParams &tp)
         std::cout << "R" << s << (writes[s] ? " WR " : " RD ") << line
                   << "\n";
     }
-    const std::string verdict = sched.verifyWindow(64, 0b11000100);
-    std::cout << "conflict check over 64 slots: "
-              << (verdict.empty() ? "clean" : verdict) << "\n";
+    analysis::VerifierConfig vcfg;
+    vcfg.level = sol.level;
+    std::cout << "conflict check: "
+              << analysis::ScheduleVerifier(tp, sched, vcfg)
+                     .verify(sol.l)
+                     .summary()
+              << "\n";
 }
 
 } // namespace

@@ -62,66 +62,46 @@ VerifyResult::summary() const
     return os.str();
 }
 
-ScheduleVerifier::ScheduleVerifier(const dram::TimingParams &tp,
-                                   const VerifierConfig &cfg)
-    : tp_(tp), rules_(tp), cfg_(cfg)
-{
-    tp_.validate();
-    fatal_if(cfg_.numDomains == 0, "verifier needs >= 1 domain");
-    fatal_if(cfg_.numRanks == 0, "verifier needs >= 1 rank");
-    fatal_if(cfg_.bankGroups == 0, "bank group count must be >= 1");
+namespace {
 
+/** The one-slot-per-domain frame a VerifierConfig describes. */
+core::SlotSchedule
+configFrame(const dram::TimingParams &tp, const VerifierConfig &cfg)
+{
+    fatal_if(cfg.numDomains == 0, "verifier needs >= 1 domain");
     // Offsets are definitional (the paper's Figure 1 geometry), so
     // they are shared with the solver; all *checking* below is an
-    // independent implementation.
-    off_ = core::PipelineSolver(tp_).offsets(cfg_.ref);
-    const int minOff = std::min({off_.actRead, off_.actWrite,
-                                 off_.casRead, off_.casWrite, 0});
-    lead_ = static_cast<Cycle>(-minOff);
+    // independent implementation. verify(l) sets the spacing.
+    return core::SlotSchedule(core::PipelineSolver(tp).offsets(cfg.ref),
+                              1, tp,
+                              std::vector<unsigned>(cfg.numDomains, 1),
+                              cfg.bankGroups);
+}
 
-    // Mirror FsScheduler's slot table: one slot per domain round-robin
-    // plus a phantom pad slot when group rotation would not visit
-    // every group for every domain.
-    for (DomainId d = 0; d < cfg_.numDomains; ++d)
-        slotTable_.push_back(d);
-    if (cfg_.bankGroups > 1 && slotTable_.size() % cfg_.bankGroups == 0)
-        slotTable_.push_back(kPhantom);
-    slotsPerFrame_ = static_cast<unsigned>(slotTable_.size());
+} // namespace
+
+ScheduleVerifier::ScheduleVerifier(const dram::TimingParams &tp,
+                                   const VerifierConfig &cfg)
+    : ScheduleVerifier(tp, configFrame(tp, cfg), cfg)
+{
+}
+
+ScheduleVerifier::ScheduleVerifier(const dram::TimingParams &tp,
+                                   const core::SlotSchedule &frame,
+                                   const VerifierConfig &cfg)
+    : tp_(tp), rules_(tp), cfg_(cfg), frame_(frame)
+{
+    tp_.validate();
+    fatal_if(cfg_.numRanks == 0, "verifier needs >= 1 rank");
+    cfg_.bankGroups = frame_.groups();
+    cfg_.numDomains = 0;
+    for (uint64_t s = 0; s < frame_.slotsPerFrame(); ++s)
+        cfg_.numDomains += frame_.phantom(s) ? 0 : 1;
 
     if (cfg_.refresh) {
-        refreshMargin_ = tp_.actToActWrA() + lead_;
+        refreshMargin_ = tp_.actToActWrA() + frame_.lead();
         refreshPause_ = cfg_.numRanks + tp_.rfc;
     }
-}
-
-DomainId
-ScheduleVerifier::domainOf(uint64_t slot) const
-{
-    return slotTable_[slot % slotsPerFrame_];
-}
-
-Cycle
-ScheduleVerifier::refCycleOf(uint64_t slot, unsigned l) const
-{
-    return slot * l + lead_;
-}
-
-Cycle
-ScheduleVerifier::actOf(uint64_t slot, unsigned l, bool write) const
-{
-    return refCycleOf(slot, l) + (write ? off_.actWrite : off_.actRead);
-}
-
-Cycle
-ScheduleVerifier::casOf(uint64_t slot, unsigned l, bool write) const
-{
-    return refCycleOf(slot, l) + (write ? off_.casWrite : off_.casRead);
-}
-
-Cycle
-ScheduleVerifier::dataStartOf(uint64_t slot, unsigned l, bool write) const
-{
-    return refCycleOf(slot, l) + (write ? off_.dataWrite : off_.dataRead);
 }
 
 Cycle
@@ -137,15 +117,14 @@ ScheduleVerifier::armedEpoch(Cycle decisionCycle) const
 }
 
 bool
-ScheduleVerifier::skipped(uint64_t slot, unsigned l) const
+ScheduleVerifier::skipped(const core::SlotSchedule &t, uint64_t slot) const
 {
-    if (domainOf(slot) == kPhantom)
+    if (t.phantom(slot))
         return true;
     if (!cfg_.refresh)
         return false;
-    const Cycle decision = slot * l;
-    const Cycle ref = refCycleOf(slot, l);
-    return ref + refreshMargin_ > armedEpoch(decision);
+    const Cycle decision = slot * t.spacing();
+    return t.refCycle(slot) + refreshMargin_ > armedEpoch(decision);
 }
 
 bool
@@ -153,7 +132,7 @@ ScheduleVerifier::canShareRank(uint64_t a, uint64_t b) const
 {
     (void)a;
     (void)b;
-    if (cfg_.bankGroups > 1)
+    if (frame_.groups() > 1)
         return true; // triple alternation runs unpartitioned
     return cfg_.level != core::PartitionLevel::Rank;
 }
@@ -161,8 +140,8 @@ ScheduleVerifier::canShareRank(uint64_t a, uint64_t b) const
 bool
 ScheduleVerifier::canShareBank(uint64_t a, uint64_t b) const
 {
-    if (cfg_.bankGroups > 1)
-        return a % cfg_.bankGroups == b % cfg_.bankGroups;
+    if (frame_.groups() > 1)
+        return frame_.groupOf(a) == frame_.groupOf(b);
     return cfg_.level == core::PartitionLevel::None;
 }
 
@@ -170,7 +149,7 @@ Cycle
 ScheduleVerifier::hyperperiod(unsigned l) const
 {
     fatal_if(l == 0, "slot spacing must be positive");
-    const uint64_t frame = static_cast<uint64_t>(slotsPerFrame_) * l;
+    const uint64_t frame = uint64_t{frame_.slotsPerFrame()} * l;
     uint64_t h = std::lcm(frame, static_cast<uint64_t>(2) * l);
     if (cfg_.refresh)
         h = std::lcm(h, tp_.refi);
@@ -180,15 +159,18 @@ ScheduleVerifier::hyperperiod(unsigned l) const
 }
 
 bool
-ScheduleVerifier::checkPair(uint64_t si, uint64_t sj, bool wi, bool wj,
-                            unsigned l, ConflictReport *out) const
+ScheduleVerifier::checkPair(const core::SlotSchedule &t, uint64_t si,
+                            uint64_t sj, bool wi, bool wj,
+                            ConflictReport *out) const
 {
-    const long actI = static_cast<long>(actOf(si, l, wi));
-    const long casI = static_cast<long>(casOf(si, l, wi));
-    const long actJ = static_cast<long>(actOf(sj, l, wj));
-    const long casJ = static_cast<long>(casOf(sj, l, wj));
+    const core::SlotPlan pi = t.plan(si, wi);
+    const core::SlotPlan pj = t.plan(sj, wj);
+    const long actI = static_cast<long>(pi.actAt);
+    const long casI = static_cast<long>(pi.casAt);
+    const long actJ = static_cast<long>(pj.actAt);
+    const long casJ = static_cast<long>(pj.casAt);
 
-    const Cycle frame = static_cast<Cycle>(slotsPerFrame_) * l;
+    const Cycle frame = t.frameLength();
     auto conflict = [&](RuleId id, CmdEdge from, CmdEdge to, long cycI,
                         long cycJ, long gap, long need) {
         if (out) {
@@ -201,8 +183,8 @@ ScheduleVerifier::checkPair(uint64_t si, uint64_t sj, bool wi, bool wj,
             out->laterCycle = static_cast<Cycle>(cycJ);
             out->gap = gap;
             out->need = need;
-            out->earlierDomain = domainOf(si);
-            out->laterDomain = domainOf(sj);
+            out->earlierDomain = t.domainOf(si);
+            out->laterDomain = t.domainOf(sj);
             out->fromEdge = from;
             out->toEdge = to;
             out->earlierFrameOffset = static_cast<Cycle>(cycI) % frame;
@@ -241,17 +223,16 @@ ScheduleVerifier::checkPair(uint64_t si, uint64_t sj, bool wi, bool wj,
         if (!dram::typeMatches(r.earlier, wi) ||
             !dram::typeMatches(r.later, wj))
             continue;
-        auto edge = [&](uint64_t s, bool w, CmdEdge e) {
+        auto edge = [](const core::SlotPlan &p, CmdEdge e) {
             switch (e) {
-              case CmdEdge::Act: return static_cast<long>(actOf(s, l, w));
-              case CmdEdge::Cas: return static_cast<long>(casOf(s, l, w));
-              case CmdEdge::Data:
-                return static_cast<long>(dataStartOf(s, l, w));
+              case CmdEdge::Act: return static_cast<long>(p.actAt);
+              case CmdEdge::Cas: return static_cast<long>(p.casAt);
+              case CmdEdge::Data: return static_cast<long>(p.dataStart);
             }
             panic("bad command edge");
         };
-        const long from = edge(si, wi, r.from);
-        const long to = edge(sj, wj, r.to);
+        const long from = edge(pi, r.from);
+        const long to = edge(pj, r.to);
         if (to - from < r.minGap)
             return conflict(r.id, r.from, r.to, from, to, to - from,
                             r.minGap);
@@ -260,7 +241,8 @@ ScheduleVerifier::checkPair(uint64_t si, uint64_t sj, bool wi, bool wj,
 }
 
 bool
-ScheduleVerifier::checkFawWindows(unsigned l, uint64_t slots,
+ScheduleVerifier::checkFawWindows(const core::SlotSchedule &t,
+                                  uint64_t slots,
                                   ConflictReport *out) const
 {
     const long faw = rules_.gap(RuleId::Faw);
@@ -268,23 +250,22 @@ ScheduleVerifier::checkFawWindows(unsigned l, uint64_t slots,
     // Worst-case same-rank ACT sequences. Under rank partitioning a
     // rank's ACTs come from one domain's slots; otherwise every slot
     // may land in a single rank. The window rule binds a sequence
-    // element and the element four positions later.
+    // element and the element four positions later. Domain identity
+    // enters the proof only here, as one label per frame position: a
+    // weighted domain's several positions form separate sequences.
     std::vector<std::vector<uint64_t>> seqs;
     const bool perDomain =
-        cfg_.level == core::PartitionLevel::Rank && cfg_.bankGroups == 1;
-    if (perDomain)
-        seqs.resize(cfg_.numDomains);
-    else
-        seqs.resize(1);
+        cfg_.level == core::PartitionLevel::Rank && t.groups() == 1;
+    const unsigned positions = t.slotsPerFrame();
+    seqs.resize(perDomain ? positions : 1);
 
     // Extend past the hyperperiod so windows that straddle the wrap
     // are also checked (the schedule is periodic).
-    const uint64_t tail = 5ull * slotsPerFrame_ + 8;
+    const uint64_t tail = 5ull * positions + 8;
     for (uint64_t s = 0; s < slots + tail; ++s) {
-        if (skipped(s, l))
+        if (skipped(t, s))
             continue;
-        const DomainId d = domainOf(s);
-        seqs[perDomain ? d : 0].push_back(s);
+        seqs[perDomain ? s % positions : 0].push_back(s);
     }
 
     for (const auto &seq : seqs) {
@@ -295,12 +276,12 @@ ScheduleVerifier::checkFawWindows(unsigned l, uint64_t slots,
                 break; // window starts beyond one hyperperiod
             for (bool wi : {false, true}) {
                 for (bool wj : {false, true}) {
-                    const long from = static_cast<long>(actOf(si, l, wi));
-                    const long to = static_cast<long>(actOf(sj, l, wj));
+                    const long from =
+                        static_cast<long>(t.plan(si, wi).actAt);
+                    const long to = static_cast<long>(t.plan(sj, wj).actAt);
                     if (to - from < faw) {
                         if (out) {
-                            const Cycle frame =
-                                static_cast<Cycle>(slotsPerFrame_) * l;
+                            const Cycle frame = t.frameLength();
                             out->rule = RuleId::Faw;
                             out->earlierSlot = si;
                             out->laterSlot = sj;
@@ -310,8 +291,8 @@ ScheduleVerifier::checkFawWindows(unsigned l, uint64_t slots,
                             out->laterCycle = static_cast<Cycle>(to);
                             out->gap = to - from;
                             out->need = faw;
-                            out->earlierDomain = domainOf(si);
-                            out->laterDomain = domainOf(sj);
+                            out->earlierDomain = t.domainOf(si);
+                            out->laterDomain = t.domainOf(sj);
                             out->fromEdge = CmdEdge::Act;
                             out->toEdge = CmdEdge::Act;
                             out->earlierFrameOffset =
@@ -330,12 +311,13 @@ ScheduleVerifier::checkFawWindows(unsigned l, uint64_t slots,
 }
 
 bool
-ScheduleVerifier::checkRefresh(unsigned l, uint64_t slots,
-                               ConflictReport *out,
+ScheduleVerifier::checkRefresh(const core::SlotSchedule &t,
+                               uint64_t slots, ConflictReport *out,
                                uint64_t *epochs) const
 {
     const Cycle refi = tp_.refi;
-    const Cycle frame = static_cast<Cycle>(slotsPerFrame_) * l;
+    const unsigned l = t.spacing();
+    const Cycle frame = t.frameLength();
 
     auto conflict = [&](RuleId id, uint64_t slot, bool w, Cycle slotCyc,
                         Cycle epochCyc, long gap, long need) {
@@ -349,7 +331,7 @@ ScheduleVerifier::checkRefresh(unsigned l, uint64_t slots,
             out->laterCycle = epochCyc;
             out->gap = gap;
             out->need = need;
-            out->earlierDomain = domainOf(slot);
+            out->earlierDomain = t.domainOf(slot);
             out->laterDomain = ConflictReport::kNoDomain;
             // The epoch conflicts anchor the slot's nearest command
             // edge; ACT is the earliest and is what the Rp/Rfc gaps
@@ -386,15 +368,16 @@ ScheduleVerifier::checkRefresh(unsigned l, uint64_t slots,
                 ? (e - refreshMargin_ - frame) / l
                 : 0;
         const uint64_t hi =
-            std::min<uint64_t>(slots + slotsPerFrame_,
+            std::min<uint64_t>(slots + t.slotsPerFrame(),
                                (e + refreshPause_ + frame) / l + 2);
         for (uint64_t s = lo; s < hi; ++s) {
-            if (skipped(s, l))
+            if (skipped(t, s))
                 continue;
             for (bool w : {false, true}) {
-                const Cycle act = actOf(s, l, w);
-                const Cycle cas = casOf(s, l, w);
-                const Cycle dat = dataStartOf(s, l, w);
+                const core::SlotPlan p = t.plan(s, w);
+                const Cycle act = p.actAt;
+                const Cycle cas = p.casAt;
+                const Cycle dat = p.dataStart;
                 // No command may land while the device refreshes
                 // (command bus is driving REFs; ranks are busy tRFC).
                 for (Cycle c : {act, cas}) {
@@ -439,13 +422,15 @@ ScheduleVerifier::verify(unsigned l) const
 
     res.hyperperiod = hyperperiod(l);
     const uint64_t slots = res.hyperperiod / l;
+    const core::SlotSchedule t = frame_.withSpacing(l);
 
     // Constraints only bind while the slot distance is within the
     // largest rule constant plus the command-offset span.
+    const core::SlotOffsets &off = t.offsets();
     const long span =
-        std::max({std::abs(off_.actRead), std::abs(off_.actWrite),
-                  std::abs(off_.casRead), std::abs(off_.casWrite),
-                  std::abs(off_.dataRead), std::abs(off_.dataWrite)});
+        std::max({std::abs(off.actRead), std::abs(off.actWrite),
+                  std::abs(off.casRead), std::abs(off.casWrite),
+                  std::abs(off.dataRead), std::abs(off.dataWrite)});
     long maxConst = 1;
     for (const PairRule &r : rules_.pairRules())
         maxConst = std::max(maxConst, r.minGap);
@@ -453,17 +438,17 @@ ScheduleVerifier::verify(unsigned l) const
         static_cast<uint64_t>((maxConst + 2 * span) / l + 2);
 
     for (uint64_t i = 0; i < slots; ++i) {
-        if (skipped(i, l))
+        if (skipped(t, i))
             continue;
         ++res.slotsChecked;
         for (uint64_t d = 1; d <= dMax; ++d) {
             const uint64_t j = i + d;
-            if (skipped(j, l))
+            if (skipped(t, j))
                 continue;
             ++res.pairsChecked;
             for (bool wi : {false, true}) {
                 for (bool wj : {false, true}) {
-                    if (!checkPair(i, j, wi, wj, l, &res.conflict)) {
+                    if (!checkPair(t, i, j, wi, wj, &res.conflict)) {
                         res.hasConflict = true;
                         return res;
                     }
@@ -472,12 +457,12 @@ ScheduleVerifier::verify(unsigned l) const
         }
     }
 
-    if (!checkFawWindows(l, slots, &res.conflict)) {
+    if (!checkFawWindows(t, slots, &res.conflict)) {
         res.hasConflict = true;
         return res;
     }
     if (cfg_.refresh &&
-        !checkRefresh(l, slots, &res.conflict,
+        !checkRefresh(t, slots, &res.conflict,
                       &res.refreshEpochsChecked)) {
         res.hasConflict = true;
         return res;
@@ -485,62 +470,6 @@ ScheduleVerifier::verify(unsigned l) const
 
     res.ok = true;
     return res;
-}
-
-CompiledSchedule
-ScheduleVerifier::compile(unsigned l) const
-{
-    CompiledSchedule cs;
-    cs.l = l;
-    cs.lead = lead_;
-
-    if (cfg_.refresh) {
-        cs.note = "refresh blackouts depend on the absolute slot index "
-                  "and are not frame-periodic";
-        return cs;
-    }
-
-    const VerifyResult res = verify(l);
-    cs.hyperperiod = res.hyperperiod;
-    cs.slotsChecked = res.slotsChecked;
-    cs.pairsChecked = res.pairsChecked;
-    if (!res.ok) {
-        cs.note = res.summary();
-        return cs;
-    }
-
-    for (uint64_t s = 0; s < slotsPerFrame_; ++s) {
-        CompiledSlot slot;
-        const DomainId d = domainOf(s);
-        slot.phantom = d == kPhantom;
-        slot.domain = slot.phantom ? 0 : d;
-        slot.group = static_cast<unsigned>(s % cfg_.bankGroups);
-
-        // All deltas are relative to the slot's decision cycle s*l;
-        // lead_ keeps them non-negative by construction.
-        const Cycle decision = s * l;
-        slot.actRead = actOf(s, l, false) - decision;
-        slot.casRead = casOf(s, l, false) - decision;
-        slot.dataRead = dataStartOf(s, l, false) - decision;
-        slot.actWrite = actOf(s, l, true) - decision;
-        slot.casWrite = casOf(s, l, true) - decision;
-        slot.dataWrite = dataStartOf(s, l, true) - decision;
-
-        // Completion prediction leans on data = cas + CL/CWL; if the
-        // offset geometry ever diverged from that identity the replay
-        // path would mispredict silently, so pin it here.
-        fatal_if(slot.dataRead != slot.casRead + tp_.cas,
-                 "compiled slot {}: dataRead != casRead + CL", s);
-        fatal_if(slot.dataWrite != slot.casWrite + tp_.cwd,
-                 "compiled slot {}: dataWrite != casWrite + CWL", s);
-        slot.completeRead = slot.dataRead + tp_.burst;
-        slot.completeWrite = slot.dataWrite + tp_.burst;
-
-        cs.slots.push_back(slot);
-    }
-
-    cs.valid = true;
-    return cs;
 }
 
 unsigned
@@ -559,8 +488,9 @@ ScheduleVerifier::domainReuseHazard(unsigned l) const
     // A domain's consecutive slots are one frame apart at the
     // reference point; command skew between a write and a read slot
     // shrinks the worst-case ACT-to-ACT gap.
-    const long skew = std::abs(static_cast<long>(off_.actRead) -
-                               static_cast<long>(off_.actWrite));
+    const core::SlotOffsets &off = frame_.offsets();
+    const long skew = std::abs(static_cast<long>(off.actRead) -
+                               static_cast<long>(off.actWrite));
     const long worstGap =
         static_cast<long>(cfg_.numDomains) * l - skew;
     return worstGap < rules_.gap(RuleId::ActToActWrA);

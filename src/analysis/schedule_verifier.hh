@@ -21,6 +21,11 @@
  * paper's Table gaps (l = 7, 12, 15, 21, 43) must fall out of both,
  * with verify(l-1) producing a concrete conflicting command pair.
  *
+ * What it checks is the one FS frame template, core::SlotSchedule:
+ * the slot table, group lanes and per-slot command cycles come from
+ * there, either built from a VerifierConfig or handed over by
+ * FsScheduler as the template it issues from.
+ *
  * Scope note: under rank partitioning, a domain's *own* consecutive
  * slots (one frame apart) may reuse a bank; like the solver, the
  * verifier treats that as dynamically guarded (the scheduler's
@@ -32,11 +37,10 @@
 #define MEMSEC_ANALYSIS_SCHEDULE_VERIFIER_HH
 
 #include <string>
-#include <vector>
 
 #include "core/pipeline_solver.hh"
+#include "core/slot_schedule.hh"
 #include "dram/timing_rules.hh"
-#include "sim/compiled_schedule.hh"
 #include "sim/types.hh"
 
 namespace memsec::analysis {
@@ -116,7 +120,18 @@ struct VerifyResult
 class ScheduleVerifier
 {
   public:
+    /** Check the one-slot-per-domain frame cfg describes. */
     ScheduleVerifier(const dram::TimingParams &tp,
+                     const VerifierConfig &cfg);
+
+    /**
+     * Check a scheduler's own template. Its slot table, group lanes
+     * and offsets replace cfg's ref, numDomains and bankGroups; the
+     * partition level, rank count and refresh model come from cfg.
+     * verify(l) respaces the frame to l.
+     */
+    ScheduleVerifier(const dram::TimingParams &tp,
+                     const core::SlotSchedule &frame,
                      const VerifierConfig &cfg);
 
     /**
@@ -128,16 +143,6 @@ class ScheduleVerifier
 
     /** Model-check slot spacing l over one hyperperiod. */
     VerifyResult verify(unsigned l) const;
-
-    /**
-     * Verify spacing l, then flatten one frame of the proven template
-     * into a CompiledSchedule for table-driven replay (docs/PERF.md).
-     * The result carries the verification provenance; it is marked
-     * invalid (with a reason) when verification fails or when the
-     * config models refresh epochs, whose blackouts depend on the
-     * absolute slot index and therefore do not repeat per frame.
-     */
-    CompiledSchedule compile(unsigned l) const;
 
     /** Smallest l in [1, maxL] with verify(l).ok; 0 if none. */
     unsigned minimalFeasible(unsigned maxL = 512) const;
@@ -154,32 +159,23 @@ class ScheduleVerifier
     const dram::TimingRuleTable &rules() const { return rules_; }
 
   private:
-    /** Domain owning slot s, or kPhantom for a group pad slot. */
-    static constexpr DomainId kPhantom = ~0u;
-    DomainId domainOf(uint64_t slot) const;
-
     /** True if the slot issues no commands (phantom / blackout). */
-    bool skipped(uint64_t slot, unsigned l) const;
+    bool skipped(const core::SlotSchedule &t, uint64_t slot) const;
 
     bool canShareRank(uint64_t a, uint64_t b) const;
     bool canShareBank(uint64_t a, uint64_t b) const;
 
     /** Check one ordered pair under one type combo; false = conflict. */
-    bool checkPair(uint64_t si, uint64_t sj, bool wi, bool wj,
-                   unsigned l, ConflictReport *out) const;
+    bool checkPair(const core::SlotSchedule &t, uint64_t si, uint64_t sj,
+                   bool wi, bool wj, ConflictReport *out) const;
 
     /** tFAW sliding-window check over worst-case same-rank ACTs. */
-    bool checkFawWindows(unsigned l, uint64_t slots,
+    bool checkFawWindows(const core::SlotSchedule &t, uint64_t slots,
                          ConflictReport *out) const;
 
     /** Refresh-epoch blackout and retention checks. */
-    bool checkRefresh(unsigned l, uint64_t slots, ConflictReport *out,
-                      uint64_t *epochs) const;
-
-    Cycle refCycleOf(uint64_t slot, unsigned l) const;
-    Cycle actOf(uint64_t slot, unsigned l, bool write) const;
-    Cycle casOf(uint64_t slot, unsigned l, bool write) const;
-    Cycle dataStartOf(uint64_t slot, unsigned l, bool write) const;
+    bool checkRefresh(const core::SlotSchedule &t, uint64_t slots,
+                      ConflictReport *out, uint64_t *epochs) const;
 
     /** Armed refresh epoch at the slot's decision cycle. */
     Cycle armedEpoch(Cycle decisionCycle) const;
@@ -187,10 +183,7 @@ class ScheduleVerifier
     dram::TimingParams tp_;
     dram::TimingRuleTable rules_;
     VerifierConfig cfg_;
-    core::SlotOffsets off_;
-    Cycle lead_ = 0;
-    std::vector<DomainId> slotTable_;
-    unsigned slotsPerFrame_ = 0;
+    core::SlotSchedule frame_;
     Cycle refreshMargin_ = 0;
     Cycle refreshPause_ = 0;
 };

@@ -17,6 +17,7 @@
 #ifndef MEMSEC_CORE_PIPELINE_SOLVER_HH
 #define MEMSEC_CORE_PIPELINE_SOLVER_HH
 
+#include <algorithm>
 #include <string>
 
 #include "dram/timing.hh"
@@ -54,6 +55,18 @@ struct SlotOffsets
     int actWrite = 0;
     int casWrite = 0;
     int dataWrite = 0;
+
+    /**
+     * Cycles by which the earliest command precedes the slot
+     * reference: shifting every slot reference by it keeps each
+     * command cycle non-negative.
+     */
+    Cycle
+    lead() const
+    {
+        return static_cast<Cycle>(
+            -std::min({actRead, actWrite, casRead, casWrite, 0}));
+    }
 };
 
 /** Solver output for one (reference, partition) design point. */

@@ -1,74 +1,49 @@
 #include "core/slot_schedule.hh"
 
-#include <algorithm>
-#include <sstream>
-
 #include "util/logging.hh"
 
 namespace memsec::core {
 
-SlotSchedule::SlotSchedule(const PipelineSolution &sol,
-                           unsigned numDomains,
-                           const dram::TimingParams &tp)
-    : sol_(sol), numDomains_(numDomains), tp_(tp)
+SlotSchedule::SlotSchedule(const SlotOffsets &off, unsigned l,
+                           const dram::TimingParams &tp,
+                           const std::vector<unsigned> &weights,
+                           unsigned groups)
+    : off_(off), l_(l), lead_(off.lead()), burst_(tp.burst),
+      groups_(groups)
 {
-    fatal_if(!sol.feasible, "cannot schedule an infeasible pipeline");
-    fatal_if(numDomains == 0, "need at least one domain");
-    const auto &off = sol_.offsets;
-    const int minOff = std::min({off.actRead, off.actWrite, off.casRead,
-                                 off.casWrite, 0});
-    lead_ = static_cast<Cycle>(-minOff);
-}
-
-SlotPlan
-SlotSchedule::plan(uint64_t slot, bool write) const
-{
-    const auto &off = sol_.offsets;
-    SlotPlan p;
-    p.slot = slot;
-    p.domain = domainOf(slot);
-    p.write = write;
-    p.refCycle = slot * sol_.l + lead_;
-    p.actAt = p.refCycle + (write ? off.actWrite : off.actRead);
-    p.casAt = p.refCycle + (write ? off.casWrite : off.casRead);
-    p.dataStart = p.refCycle + (write ? off.dataWrite : off.dataRead);
-    p.dataEnd = p.dataStart + tp_.burst;
-    return p;
-}
-
-std::string
-SlotSchedule::verifyWindow(uint64_t slots, uint64_t writeMask) const
-{
-    std::vector<SlotPlan> plans;
-    plans.reserve(slots);
-    for (uint64_t s = 0; s < slots; ++s)
-        plans.push_back(plan(s, (writeMask >> (s % 64)) & 1));
-
-    std::ostringstream bad;
-    for (size_t i = 0; i < plans.size(); ++i) {
-        for (size_t j = i + 1; j < plans.size(); ++j) {
-            const Cycle ci[2] = {plans[i].actAt, plans[i].casAt};
-            const Cycle cj[2] = {plans[j].actAt, plans[j].casAt};
-            for (Cycle a : ci) {
-                for (Cycle b : cj) {
-                    if (a == b) {
-                        bad << "command collision at cycle " << a
-                            << " between slots " << i << " and " << j;
-                        return bad.str();
-                    }
-                }
-            }
-            const bool overlap =
-                plans[i].dataStart < plans[j].dataEnd &&
-                plans[j].dataStart < plans[i].dataEnd;
-            if (overlap) {
-                bad << "data overlap between slots " << i << " and "
-                    << j;
-                return bad.str();
+    fatal_if(groups == 0, "bank group count must be >= 1");
+    std::vector<unsigned> remaining = weights;
+    bool any = true;
+    while (any) {
+        any = false;
+        for (DomainId d = 0; d < remaining.size(); ++d) {
+            if (remaining[d] > 0) {
+                --remaining[d];
+                table_.push_back(d);
+                any = true;
             }
         }
     }
-    return "";
+    fatal_if(table_.empty(), "slot table is empty");
+    if (groups_ > 1 && table_.size() % groups_ == 0)
+        table_.push_back(kPhantom);
+}
+
+SlotSchedule::SlotSchedule(const PipelineSolution &sol,
+                           unsigned numDomains,
+                           const dram::TimingParams &tp)
+    : SlotSchedule(sol.offsets, sol.l, tp,
+                   std::vector<unsigned>(numDomains, 1))
+{
+    fatal_if(!sol.feasible, "cannot schedule an infeasible pipeline");
+}
+
+SlotSchedule
+SlotSchedule::withSpacing(unsigned l) const
+{
+    SlotSchedule s = *this;
+    s.l_ = l;
+    return s;
 }
 
 } // namespace memsec::core

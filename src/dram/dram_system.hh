@@ -118,8 +118,8 @@ class DramSystem
      * sim.compiled=on for a design point its scheduler proved with
      * the ScheduleVerifier (Scheduler::enableCompiledReplay returned
      * true): issue() then skips the shadow TimingChecker, whose work
-     * the static hyperperiod proof has already done. Off and Verify
-     * keep the full audit. The size_t argument is no longer read.
+     * the static hyperperiod proof has already done. Off keeps the
+     * full audit. The size_t argument is no longer read.
      * Incompatible with a fault injector (the audit stream is the
      * whole point of an injection run).
      */

@@ -7,6 +7,7 @@
 #include <deque>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 
 #include "cpu/core_model.hh"
@@ -79,10 +80,9 @@ defaultConfig()
     // Idle-skip fast forward (byte-identical to the naive loop; see
     // tests/test_fastforward_diff.cc). Off = force the naive loop.
     c.set("sim.fastforward", true);
-    // How much of the replayed FS/TP command stream is audited
-    // (docs/PERF.md): off | on | verify. "on" skips the TimingChecker
-    // only for design points the ScheduleVerifier proved; "verify"
-    // audits and also asserts every completion prediction.
+    // Whether the TimingChecker audits the replayed FS/TP command
+    // stream (docs/PERF.md): off | on. "on" skips it only for design
+    // points the ScheduleVerifier proved.
     c.set("sim.compiled", "off");
     // Fixed-capacity request pool for scheduler-internal operations
     // (dummies); heap fallback beyond this is a structured SimError,
@@ -629,6 +629,12 @@ ExperimentSystem::ExperimentSystem(const Config &cfg)
     const int64_t auditCore = cfg.getInt("audit.core", -1);
     im.auditCore = auditCore;
 
+    // 0 (or a value that truncates to it) would tick no CPU cycle and
+    // report an all-zero run instead of failing.
+    const uint64_t cpuMult = cfg.getUint("core.cpu_mult", 4);
+    fatal_if(cpuMult == 0 || cpuMult > std::numeric_limits<unsigned>::max(),
+             "core.cpu_mult {} must be a positive 32-bit count", cpuMult);
+
     std::vector<std::unique_ptr<cpu::CoreModel>> &coreModels =
         im.coreModels;
     for (unsigned i = 0; i < cores; ++i) {
@@ -636,8 +642,7 @@ ExperimentSystem::ExperimentSystem(const Config &cfg)
         cp.robSize = static_cast<unsigned>(cfg.getUint("core.rob", 64));
         cp.retireWidth =
             static_cast<unsigned>(cfg.getUint("core.retire_width", 4));
-        cp.cpuMult =
-            static_cast<unsigned>(cfg.getUint("core.cpu_mult", 4));
+        cp.cpuMult = static_cast<unsigned>(cpuMult);
         cp.llcHitLatency = static_cast<unsigned>(
             cfg.getUint("core.llc_hit_latency", 10));
         cp.llcBytes = cfg.getUint("core.llc_kb", 512) * 1024;

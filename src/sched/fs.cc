@@ -40,27 +40,43 @@ levelOf(FsMode m)
     panic("bad FS mode");
 }
 
+core::PipelineSolution
+solveFor(const dram::TimingParams &tp, const FsScheduler::Params &params)
+{
+    const core::PipelineSolver solver(tp);
+    const core::PipelineSolution sol =
+        params.pinRef ? solver.solve(params.ref, levelOf(params.mode))
+                      : solver.solveBest(levelOf(params.mode));
+    fatal_if(!sol.feasible, "no feasible FS pipeline for mode {}",
+             fsModeName(params.mode));
+    return sol;
+}
+
+/** Slots per domain per frame: the SLA weights, or one slot each. */
+std::vector<unsigned>
+weightsFor(const FsScheduler::Params &params, unsigned numDomains)
+{
+    if (params.slotWeights.empty())
+        return std::vector<unsigned>(numDomains, 1);
+    fatal_if(params.slotWeights.size() != numDomains,
+             "slotWeights size {} != domains {}",
+             params.slotWeights.size(), numDomains);
+    return params.slotWeights;
+}
+
 } // namespace
 
 FsScheduler::FsScheduler(mem::MemoryController &mc, const Params &params)
-    : ReplayScheduler(mc), params_(params)
+    : ReplayScheduler(mc), params_(params),
+      sol_(solveFor(dram_.timing(), params)),
+      frame_(sol_.offsets, sol_.l, dram_.timing(),
+             weightsFor(params, mc.numDomains()),
+             params.mode == FsMode::TripleAlt
+                 ? core::PipelineSolver(dram_.timing())
+                       .alternationFactor()
+                 : 1)
 {
-    const core::PipelineSolver solver(dram_.timing());
-    sol_ = params.pinRef
-               ? solver.solve(params.ref, levelOf(params.mode))
-               : solver.solveBest(levelOf(params.mode));
-    fatal_if(!sol_.feasible, "no feasible FS pipeline for mode {}",
-             fsModeName(params.mode));
-    l_ = sol_.l;
-
-    const auto &off = sol_.offsets;
-    const int minOff = std::min({off.actRead, off.actWrite, off.casRead,
-                                 off.casWrite, 0});
-    lead_ = static_cast<Cycle>(-minOff);
-
     const unsigned n = mc.numDomains();
-    groups_ = params.mode == FsMode::TripleAlt ? solver.alternationFactor()
-                                               : 1;
     fatal_if(params.mode == FsMode::TripleAlt &&
                  mc.addressMap().partition() != mem::Partition::None,
              "triple alternation is the no-OS-support design point; "
@@ -69,34 +85,6 @@ FsScheduler::FsScheduler(mem::MemoryController &mc, const Params &params)
              "the power-down optimisation requires rank partitioning "
              "(a shared rank's idleness would leak other domains' "
              "state)");
-
-    // Build the slot table from the SLA weights (default: one slot
-    // per domain per frame), interleaving domains round-robin.
-    std::vector<unsigned> weights = params.slotWeights;
-    if (weights.empty())
-        weights.assign(n, 1);
-    fatal_if(weights.size() != n, "slotWeights size {} != domains {}",
-             weights.size(), n);
-    std::vector<unsigned> remaining = weights;
-    bool any = true;
-    while (any) {
-        any = false;
-        for (DomainId d = 0; d < n; ++d) {
-            if (remaining[d] > 0) {
-                --remaining[d];
-                slotTable_.push_back(d);
-                any = true;
-            }
-        }
-    }
-    fatal_if(slotTable_.empty(), "slot table is empty");
-
-    // Bank-group rotation (slot % groups) must visit every group for
-    // every domain; pad the frame with a phantom slot when the frame
-    // length is a multiple of the group count.
-    if (groups_ > 1 && slotTable_.size() % groups_ == 0)
-        slotTable_.push_back(kPhantom);
-    slotsPerFrame_ = slotTable_.size();
 
     const auto &geo = dram_.geometry();
     lastRow_.assign(
@@ -113,7 +101,7 @@ FsScheduler::FsScheduler(mem::MemoryController &mc, const Params &params)
         // No slot may have commands or auto-precharge activity inside
         // the epoch: quiet-down begins one worst-case transaction
         // footprint before the REF burst.
-        refreshMargin_ = tp.actToActWrA() + lead_;
+        refreshMargin_ = tp.actToActWrA() + frame_.lead();
         // One REF command per rank back-to-back, then tRFC.
         refreshPause_ = dram_.numRanks() + tp.rfc;
         nextRefresh_ = tp.refi;
@@ -131,64 +119,23 @@ FsScheduler::name() const
 bool
 FsScheduler::enableCompiledReplay(const CompiledReplayOptions &opts)
 {
-    ReplayScheduler::enableCompiledReplay(opts);
     // Injected skew perturbs the very template the proof is about.
     if (opts.mode == CompiledMode::Off || injector_)
         return false;
 
-    // Re-prove this exact design point over its hyperperiod. The
-    // verifier builds one slot per domain; weighted tables repeat
-    // domains, so hand it the structural frame length (non-phantom
-    // slot count) — pair legality never depends on domain identity,
-    // only on slot distance and group lane.
-    unsigned structuralSlots = 0;
-    for (DomainId d : slotTable_)
-        structuralSlots += d == kPhantom ? 0 : 1;
+    // Prove the template this scheduler issues from over its
+    // hyperperiod, and its refresh epochs over the refresh
+    // hyperperiod when refresh is on.
     analysis::VerifierConfig vcfg;
-    vcfg.ref = sol_.ref;
     vcfg.level = levelOf(params_.mode);
-    vcfg.numDomains = structuralSlots;
     vcfg.numRanks = dram_.numRanks();
-    vcfg.bankGroups = groups_;
-    const CompiledSchedule table =
-        analysis::ScheduleVerifier(dram_.timing(), vcfg).compile(l_);
-    if (!table.valid)
-        return false;
-
-    // Cross-check the emitted structure against this scheduler's own
-    // template: a disagreement means the proof ran over a different
-    // schedule than the one this scheduler issues.
-    fatal_if(table.l != l_ || table.lead != lead_,
-             "compiled table geometry mismatch: l {}/{} lead {}/{}",
-             table.l, l_, table.lead, lead_);
-    fatal_if(table.slots.size() != slotsPerFrame_,
-             "compiled table has {} slots, scheduler frame has {}",
-             table.slots.size(), slotsPerFrame_);
-    const auto &off = sol_.offsets;
-    const auto delta = [this](int o) {
-        return static_cast<Cycle>(static_cast<long>(lead_) + o);
-    };
-    for (uint64_t s = 0; s < slotsPerFrame_; ++s) {
-        const CompiledSlot &slot = table.slots[s];
-        fatal_if(slot.phantom != (slotTable_[s] == kPhantom),
-                 "compiled table phantom mismatch at slot {}", s);
-        fatal_if(slot.actRead != delta(off.actRead) ||
-                     slot.casRead != delta(off.casRead) ||
-                     slot.actWrite != delta(off.actWrite) ||
-                     slot.casWrite != delta(off.casWrite),
-                 "compiled table command deltas mismatch at slot {}", s);
-    }
-
-    // Refresh blackouts are keyed on the absolute slot index, so no
-    // frame table carries them; prove the epochs over the refresh
-    // hyperperiod instead.
-    if (params_.refresh) {
-        vcfg.refresh = true;
-        return analysis::ScheduleVerifier(dram_.timing(), vcfg)
-            .verify(l_)
+    auto proven = [&](bool refresh) {
+        vcfg.refresh = refresh;
+        return analysis::ScheduleVerifier(dram_.timing(), frame_, vcfg)
+            .verify(frame_.spacing())
             .ok;
-    }
-    return true;
+    };
+    return proven(false) && (!params_.refresh || proven(true));
 }
 
 bool
@@ -226,15 +173,14 @@ FsScheduler::reserveRank(unsigned rank, Cycle actAt, Cycle casAt,
 }
 
 void
-FsScheduler::planSlot(std::unique_ptr<MemRequest> req, bool write,
-                      bool dummy, Cycle ref)
+FsScheduler::planSlot(std::unique_ptr<MemRequest> req,
+                      const core::SlotPlan &slot, bool dummy)
 {
-    const auto &off = sol_.offsets;
     PlannedOp op;
-    op.write = write;
+    op.write = slot.write;
     op.dummy = dummy;
-    op.actAt = ref + (write ? off.actWrite : off.actRead);
-    op.casAt = ref + (write ? off.casWrite : off.casRead);
+    op.actAt = slot.actAt;
+    op.casAt = slot.casAt;
     op.suppressCas = dummy && params_.suppressDummies;
 
     const unsigned rank = req->loc.rank;
@@ -249,8 +195,8 @@ FsScheduler::planSlot(std::unique_ptr<MemRequest> req, bool write,
     }
     last = req->loc.row;
 
-    reserveBank(rank, bank, op.actAt, op.casAt, write);
-    reserveRank(rank, op.actAt, op.casAt, write);
+    reserveBank(rank, bank, op.actAt, op.casAt, op.write);
+    reserveRank(rank, op.actAt, op.casAt, op.write);
 
     // Slot-skew injection: shift a real op's commands *after* the
     // reservations, so the planner's books still assume the nominal
@@ -294,7 +240,7 @@ FsScheduler::frameBoundary(uint64_t frame, Cycle now)
         return;
     const auto &tp = dram_.timing();
     const Cycle q = frameLength();
-    const Cycle frameEnd = (frame + 1) * q + lead_;
+    const Cycle frameEnd = (frame + 1) * q + frame_.lead();
     if (q <= tp.xp + tp.cke)
         return;
 
@@ -325,9 +271,8 @@ FsScheduler::frameBoundary(uint64_t frame, Cycle now)
 void
 FsScheduler::decideSlot(uint64_t slot, Cycle now)
 {
-    const uint64_t frame = slot / slotsPerFrame_;
-    const uint64_t idx = slot % slotsPerFrame_;
-    if (idx == 0)
+    const uint64_t frame = slot / frame_.slotsPerFrame();
+    if (slot % frame_.slotsPerFrame() == 0)
         frameBoundary(frame, now);
 
     if (nextRefresh_ != kNoCycle) {
@@ -335,35 +280,31 @@ FsScheduler::decideSlot(uint64_t slot, Cycle now)
         // deterministic, domain-independent blackout.
         // One-sided: the epoch rolls over only after its pause, so
         // every slot decided during it sees the armed blackout.
-        const Cycle ref = slot * l_ + lead_;
-        if (ref + refreshMargin_ > nextRefresh_) {
+        if (frame_.refCycle(slot) + refreshMargin_ > nextRefresh_) {
             skippedSlots_.inc();
             return;
         }
     }
 
-    const DomainId domain = slotTable_[idx];
-    if (domain == kPhantom) {
+    const DomainId domain = frame_.domainOf(slot);
+    if (domain == core::SlotSchedule::kPhantom) {
         skippedSlots_.inc();
         return;
     }
 
-    const Cycle ref = slot * l_ + lead_;
-    const auto &off = sol_.offsets;
-    const unsigned group = groups_ > 1
-                               ? static_cast<unsigned>(slot % groups_)
-                               : 0;
-
+    const unsigned groups = frame_.groups();
+    const unsigned group = frame_.groupOf(slot);
+    const core::SlotPlan read = frame_.plan(slot, false);
+    const core::SlotPlan write = frame_.plan(slot, true);
     auto eligible = [&](const MemRequest &r) {
-        if (groups_ > 1 && r.loc.bank % groups_ != group)
+        if (r.loc.bank % groups != group)
             return false;
-        const bool w = r.type == ReqType::Write;
-        const Cycle act = ref + (w ? off.actWrite : off.actRead);
-        const Cycle cas = ref + (w ? off.casWrite : off.casRead);
+        const core::SlotPlan &p =
+            r.type == ReqType::Write ? write : read;
         if (rankDownUntil_[r.loc.rank] > now)
             return false;
-        return bankFree(r.loc.rank, r.loc.bank, act) &&
-               rankFree(r.loc.rank, act, cas, w);
+        return bankFree(r.loc.rank, r.loc.bank, p.actAt) &&
+               rankFree(r.loc.rank, p.actAt, p.casAt, p.write);
     };
 
     // 1. A real transaction from this domain's queue, oldest first.
@@ -371,11 +312,12 @@ FsScheduler::decideSlot(uint64_t slot, Cycle now)
     if (MemRequest *r = q.findOldest(eligible)) {
         if (r != q.head())
             hazardDeferrals_.inc();
-        const bool w = r->type == ReqType::Write;
+        const core::SlotPlan &p =
+            r->type == ReqType::Write ? write : read;
         auto owned = q.take(r);
-        owned->firstCommand = ref + (w ? off.actWrite : off.actRead);
+        owned->firstCommand = p.actAt;
         realOps_.inc();
-        planSlot(std::move(owned), w, false, ref);
+        planSlot(std::move(owned), p, false);
         return;
     }
     if (!q.empty())
@@ -388,9 +330,9 @@ FsScheduler::decideSlot(uint64_t slot, Cycle now)
             if (eligible(**it)) {
                 auto owned = std::move(*it);
                 pq.erase(it);
-                owned->firstCommand = ref + off.actRead;
+                owned->firstCommand = read.actAt;
                 prefetchOps_.inc();
-                planSlot(std::move(owned), false, false, ref);
+                planSlot(std::move(owned), read, false);
                 return;
             }
         }
@@ -405,16 +347,15 @@ FsScheduler::decideSlot(uint64_t slot, Cycle now)
         const size_t cursor = (dummyRr_[domain] + tries) % combos;
         const unsigned bank = banks[cursor % banks.size()];
         const unsigned rank = ranks[cursor / banks.size()];
-        if (groups_ > 1 && bank % groups_ != group)
+        if (bank % groups != group)
             continue;
         if (rankDownUntil_[rank] > now) {
             // Powered-down rank: the slot is deliberately left empty.
             skippedSlots_.inc();
             return;
         }
-        if (!bankFree(rank, bank, ref + off.actRead) ||
-            !rankFree(rank, ref + off.actRead, ref + off.casRead,
-                      false))
+        if (!bankFree(rank, bank, read.actAt) ||
+            !rankFree(rank, read.actAt, read.casAt, false))
             continue;
         dummyRr_[domain] = cursor + 1;
         auto dummy = mc_.acquireRequest();
@@ -434,7 +375,7 @@ FsScheduler::decideSlot(uint64_t slot, Cycle now)
             dummy->loc.row = 0;
         dummyOps_.inc();
         mc_.noteDummy();
-        planSlot(std::move(dummy), false, true, ref);
+        planSlot(std::move(dummy), read, true);
         return;
     }
     // Only reachable at very low thread counts, where rank-level
@@ -462,8 +403,9 @@ FsScheduler::tick(Cycle now)
             refreshRankCursor_ = 0;
         }
     }
-    if (now % l_ == 0)
-        decideSlot(now / l_, now);
+    const unsigned l = frame_.spacing();
+    if (now % l == 0)
+        decideSlot(now / l, now);
     applyUpTo(now); // ops this decide may have cycles == now
 }
 
@@ -471,9 +413,10 @@ Cycle
 FsScheduler::nextWakeCycle(Cycle now) const
 {
     const Cycle next = now + 1;
+    const unsigned l = frame_.spacing();
     // Every multiple of l is a slot decision, even when it only
     // counts a blacked-out, phantom or powered-down slot.
-    Cycle wake = (next + l_ - 1) / l_ * l_;
+    Cycle wake = (next + l - 1) / l * l;
     if (nextRefresh_ != kNoCycle) {
         if (next >= nextRefresh_) {
             // Mid-epoch: the REF burst issues one command per cycle,

@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "core/pipeline_solver.hh"
+#include "core/slot_schedule.hh"
 #include "sched/replay_scheduler.hh"
 #include "util/random.hh"
 
@@ -85,10 +86,10 @@ class FsScheduler : public ReplayScheduler
     void registerStats(StatGroup &group) const override;
 
     /**
-     * Proves this exact design point with the ScheduleVerifier:
-     * compile(l) for the frame, cross-checked against this
-     * scheduler's own template, plus verify(l) with refresh epochs
-     * when refresh is on. Declines while a fault injector is attached.
+     * Proves this exact design point: the ScheduleVerifier checks the
+     * slot template this scheduler issues from, once without and, when
+     * refresh is on, once with refresh epochs. Declines while a fault
+     * injector is attached.
      */
     bool enableCompiledReplay(const CompiledReplayOptions &opts) override;
 
@@ -110,8 +111,8 @@ class FsScheduler : public ReplayScheduler
     void saveState(Serializer &s) const override;
     void restoreState(Deserializer &d) override;
 
-    unsigned slotSpacing() const { return l_; }
-    Cycle frameLength() const { return slotsPerFrame_ * l_; }
+    unsigned slotSpacing() const { return frame_.spacing(); }
+    Cycle frameLength() const { return frame_.frameLength(); }
     const core::PipelineSolution &solution() const { return sol_; }
 
     uint64_t realOps() const { return realOps_.value(); }
@@ -138,20 +139,15 @@ class FsScheduler : public ReplayScheduler
                      bool write);
 
     /** Plan the slot's op on its commands' template cycles. */
-    void planSlot(std::unique_ptr<mem::MemRequest> req, bool write,
-                  bool dummy, Cycle ref);
+    void planSlot(std::unique_ptr<mem::MemRequest> req,
+                  const core::SlotPlan &slot, bool dummy);
 
     void frameBoundary(uint64_t frame, Cycle now);
 
     Params params_;
     core::PipelineSolution sol_;
-    unsigned l_ = 0;
-    Cycle lead_ = 0;
-    unsigned groups_ = 1;              ///< alternation factor (1 or 3)
-    uint64_t slotsPerFrame_ = 0;       ///< incl. a phantom pad slot if
-                                       ///< needed for group rotation
-    std::vector<DomainId> slotTable_;  ///< slot index -> domain (or ~0)
-    static constexpr DomainId kPhantom = ~0u;
+    /** The slot template every decision issues from. */
+    core::SlotSchedule frame_;
 
     /** Planned rank-level windows, mirroring dram::Rank. */
     struct RankPlan

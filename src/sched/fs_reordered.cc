@@ -18,10 +18,7 @@ FsReorderedScheduler::FsReorderedScheduler(mem::MemoryController &mc,
     sol_ = solver.solveReordered(mc.numDomains());
     off_ = solver.offsets(core::PeriodicRef::Data);
     q_ = sol_.q;
-
-    const int minOff = std::min({off_.actRead, off_.actWrite,
-                                 off_.casRead, off_.casWrite, 0});
-    lead_ = static_cast<Cycle>(-minOff);
+    lead_ = off_.lead();
 
     dummyRr_.assign(mc.numDomains(), 0);
     for (DomainId d = 0; d < mc.numDomains(); ++d)

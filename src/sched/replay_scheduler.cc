@@ -40,14 +40,6 @@ ReplayScheduler::ReplayScheduler(mem::MemoryController &mc) : Scheduler(mc)
     writeDataDelta_ = tp.cwd + tp.burst;
 }
 
-bool
-ReplayScheduler::enableCompiledReplay(const CompiledReplayOptions &opts)
-{
-    panic_if(!planned_.empty(), "enableCompiledReplay after ticking");
-    compiledMode_ = opts.mode;
-    return false;
-}
-
 void
 ReplayScheduler::enqueueReplay(PlannedOp &op)
 {
@@ -90,9 +82,8 @@ ReplayScheduler::applyUpTo(Cycle now)
                             ev.at);
             // Every CAS must end its burst exactly where planned, and
             // a fixed release may not precede the data it returns.
-            panic_if(compiledMode_ == CompiledMode::Verify &&
-                         (res.dataEnd != dataEnd(op) ||
-                          res.dataEnd > op.releaseAt),
+            panic_if(res.dataEnd != dataEnd(op) ||
+                         res.dataEnd > op.releaseAt,
                      "compiled completion mispredicted: device {} vs "
                      "planned {} (release {})",
                      res.dataEnd, dataEnd(op), op.releaseAt);

@@ -102,19 +102,14 @@ class ReplayRing
 class ReplayScheduler : public Scheduler
 {
   public:
-    /**
-     * Arms Verify's completion asserts and declines the audit skip: a
-     * policy without a static proof of its template keeps every
-     * command audited. FsScheduler overrides to offer its proof.
-     */
-    bool enableCompiledReplay(const CompiledReplayOptions &opts) override;
     bool compiledActive() const override { return true; }
 
     /**
      * Apply every queued command with cycle <= now in timestamp order
      * and retire the fully applied ops at the front of the plan. A CAS
      * completes its request at the device's data end, or at the op's
-     * fixed release cycle.
+     * fixed release cycle; it panics if the device's data end is not
+     * the planned one or a fixed release precedes it.
      */
     void applyUpTo(Cycle now) override;
     uint64_t compiledCommands() const override { return compiledCmds_; }
@@ -174,7 +169,6 @@ class ReplayScheduler : public Scheduler
      * the plan, and the ring is rebuilt on restore, which keeps
      * checkpoint bytes identical across sim.compiled modes.
      */
-    CompiledMode compiledMode_ = CompiledMode::Off;
     ReplayRing ring_;
     Cycle readDataDelta_ = 0;   ///< casAt -> read data-burst end
     Cycle writeDataDelta_ = 0;  ///< casAt -> write data-burst end

@@ -67,12 +67,10 @@ class Scheduler
     /**
      * Offer the run's sim.compiled mode (docs/PERF.md). Replaying
      * policies (the FS family, TP) issue every command through their
-     * replay ring whatever the mode; the offer only arms Verify's
-     * completion-prediction asserts. Returns true only when the
+     * replay ring whatever the mode. Returns true only when the
      * ScheduleVerifier proved this exact design point, which is what
      * lets sim.compiled=on skip the TimingChecker
-     * (DramSystem::setCompiledMode). The default declines. Must be
-     * called before the first tick.
+     * (DramSystem::setCompiledMode). The default declines.
      */
     virtual bool enableCompiledReplay(const CompiledReplayOptions &opts)
     {

@@ -1,44 +1,43 @@
 /**
  * @file
  * Unit tests for the compiled-schedule machinery (docs/PERF.md): the
- * mode parser, the timestamp-sorted ReplayRing with the planned-op
- * pipeline every fixed-service policy shares, and
- * ScheduleVerifier::compile() — the only emitter of slot tables,
- * which must refuse to produce one for a design point it cannot
- * prove.
+ * mode parser and the timestamp-sorted ReplayRing with the planned-op
+ * pipeline every fixed-service policy shares, including the
+ * completion asserts every CAS carries in every mode.
  */
 
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
 #include <tuple>
 #include <vector>
 
-#include "analysis/schedule_verifier.hh"
-#include "core/pipeline_solver.hh"
 #include "mem/memory_controller.hh"
 #include "sched/replay_scheduler.hh"
 #include "sim/compiled_schedule.hh"
 #include "util/serialize.hh"
 
 using namespace memsec;
-using analysis::ScheduleVerifier;
-using analysis::VerifierConfig;
-using core::PartitionLevel;
-using core::PeriodicRef;
 using sched::PlannedOp;
 using sched::ReplayRing;
 
 // ---- CompiledMode ------------------------------------------------
 
-TEST(CompiledMode, ParseRoundTrip)
+TEST(CompiledMode, ParsesOffAndOn)
 {
     EXPECT_EQ(parseCompiledMode("off"), CompiledMode::Off);
     EXPECT_EQ(parseCompiledMode("on"), CompiledMode::On);
-    EXPECT_EQ(parseCompiledMode("verify"), CompiledMode::Verify);
-    EXPECT_STREQ(toString(CompiledMode::Off), "off");
-    EXPECT_STREQ(toString(CompiledMode::On), "on");
-    EXPECT_STREQ(toString(CompiledMode::Verify), "verify");
+}
+
+TEST(CompiledMode, VerifyIsNoLongerAMode)
+{
+    // The completion asserts run in every mode, so there is nothing
+    // left for a third mode to arm.
+    EXPECT_EXIT(parseCompiledMode("verify"), ::testing::ExitedWithCode(1),
+                "unknown mode 'verify'");
+    EXPECT_EXIT(parseCompiledMode("ON"), ::testing::ExitedWithCode(1),
+                "unknown mode 'ON'");
 }
 
 // ---- ReplayRing and the shared planned-op pipeline ---------------
@@ -259,107 +258,35 @@ TEST(ReplayRing, ReserveBankHorizonIsTrcOrAutoPrecharge)
     EXPECT_TRUE(sched.bankFree(1, 3, 0));
 }
 
-// ---- ScheduleVerifier::compile -----------------------------------
-
-namespace {
-
-VerifierConfig
-paperConfig(PeriodicRef ref, PartitionLevel level, unsigned domains)
+TEST(ReplayRing, ReleaseBeforeDataEndPanicsInEveryMode)
 {
-    VerifierConfig cfg;
-    cfg.ref = ref;
-    cfg.level = level;
-    cfg.numDomains = domains;
-    cfg.numRanks = 8;
-    return cfg;
-}
-
-} // namespace
-
-TEST(CompileSchedule, EmitsVerifiedTableForRankPartition)
-{
-    const auto tp = dram::TimingParams::ddr3_1600_4gb();
-    const ScheduleVerifier v(
-        tp, paperConfig(PeriodicRef::Data, PartitionLevel::Rank, 8));
-    const CompiledSchedule table = v.compile(7);
-
-    ASSERT_TRUE(table.valid) << table.note;
-    EXPECT_EQ(table.l, 7u);
-    EXPECT_EQ(table.slots.size(), 8u);
-    EXPECT_GT(table.slotsChecked, 0u);
-    EXPECT_GT(table.pairsChecked, 0u);
-    EXPECT_FALSE(table.describe().empty());
-
-    for (const CompiledSlot &slot : table.slots) {
-        EXPECT_FALSE(slot.phantom);
-        // Lead folded in: command order within the slot must hold
-        // with every delta relative to the decision cycle.
-        EXPECT_LT(slot.actRead, slot.casRead);
-        EXPECT_LT(slot.casRead, slot.dataRead);
-        EXPECT_LT(slot.actWrite, slot.casWrite);
-        EXPECT_LT(slot.casWrite, slot.dataWrite);
-        // Completion = data start + burst, the invariant the replay
-        // wake hints rely on.
-        EXPECT_EQ(slot.completeRead, slot.dataRead + tp.burst);
-        EXPECT_EQ(slot.completeWrite, slot.dataWrite + tp.burst);
-        EXPECT_EQ(slot.dataRead, slot.casRead + tp.cas);
-        EXPECT_EQ(slot.dataWrite, slot.casWrite + tp.cwd);
+    // A fixed release (FS-reordered's en-masse read return) may not
+    // come before the data it returns. The assert needs no
+    // sim.compiled mode: the rig never offers one.
+    PlanRig rig;
+    PlanOnly sched(rig.mc);
+    PlannedOp op = rig.read(0, 0, 10);
+    const Cycle dataEnd = op.casAt + rig.tp.cas + rig.tp.burst;
+    op.releaseAt = dataEnd - 1;
+    sched.plan(std::move(op));
+    try {
+        sched.applyUpTo(100);
+        FAIL() << "a release before the data end was accepted";
+    } catch (const std::logic_error &e) {
+        EXPECT_NE(std::string(e.what()).find("mispredicted"),
+                  std::string::npos)
+            << e.what();
     }
 }
 
-TEST(CompileSchedule, RefusesInfeasibleSlotWidth)
+TEST(ReplayRing, ReleaseAtDataEndCompletes)
 {
-    const ScheduleVerifier v(
-        dram::TimingParams::ddr3_1600_4gb(),
-        paperConfig(PeriodicRef::Data, PartitionLevel::Rank, 8));
-    // l = 6 is below the proven minimum of 7; no table may exist.
-    const CompiledSchedule table = v.compile(6);
-    EXPECT_FALSE(table.valid);
-    EXPECT_FALSE(table.note.empty());
-}
-
-TEST(CompileSchedule, RefusesRefreshConfigs)
-{
-    VerifierConfig cfg =
-        paperConfig(PeriodicRef::Data, PartitionLevel::Rank, 8);
-    cfg.refresh = true;
-    const ScheduleVerifier v(dram::TimingParams::ddr3_1600_4gb(), cfg);
-    const CompiledSchedule table = v.compile(7);
-    EXPECT_FALSE(table.valid)
-        << "refresh blackouts are not frame-periodic; a table must "
-           "never be emitted";
-    EXPECT_FALSE(table.note.empty());
-}
-
-TEST(CompileSchedule, TripleAlternationCarriesGroupLanes)
-{
-    // 6 domains divide evenly by 3 groups, so the frame needs a
-    // phantom pad slot — without it the rotation would pin every
-    // domain to one group lane forever instead of visiting all three.
-    VerifierConfig cfg =
-        paperConfig(PeriodicRef::Ras, PartitionLevel::None, 6);
-    cfg.bankGroups = 3;
-    const ScheduleVerifier v(dram::TimingParams::ddr3_1600_4gb(), cfg);
-    const CompiledSchedule table = v.compile(15);
-    ASSERT_TRUE(table.valid) << table.note;
-
-    ASSERT_EQ(table.slots.size(), 7u);
-    bool sawPhantom = false;
-    for (const CompiledSlot &slot : table.slots) {
-        sawPhantom = sawPhantom || slot.phantom;
-        EXPECT_LT(slot.group, 3u);
-    }
-    EXPECT_TRUE(sawPhantom);
-
-    // An 8-domain frame already breaks the alignment by itself: no
-    // pad, all eight slots real.
-    VerifierConfig cfg8 =
-        paperConfig(PeriodicRef::Ras, PartitionLevel::None, 8);
-    cfg8.bankGroups = 3;
-    const ScheduleVerifier v8(dram::TimingParams::ddr3_1600_4gb(), cfg8);
-    const CompiledSchedule table8 = v8.compile(15);
-    ASSERT_TRUE(table8.valid) << table8.note;
-    EXPECT_EQ(table8.slots.size(), 8u);
-    for (const CompiledSlot &slot : table8.slots)
-        EXPECT_FALSE(slot.phantom);
+    PlanRig rig;
+    PlanOnly sched(rig.mc);
+    PlannedOp op = rig.read(0, 0, 10);
+    op.releaseAt = op.casAt + rig.tp.cas + rig.tp.burst;
+    sched.plan(std::move(op));
+    sched.applyUpTo(100);
+    EXPECT_TRUE(sched.planned().empty());
+    EXPECT_EQ(sched.compiledCommands(), 2u);
 }

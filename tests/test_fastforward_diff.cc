@@ -219,28 +219,27 @@ TEST(FastForwardDiff, FastPathActuallySkips)
 // ==================================================================
 // sim.compiled (docs/PERF.md): the same differential contract, third
 // arm. The FS family and TP issue every command through their replay
-// ring in every mode; sim.compiled only decides whether the
-// TimingChecker audits (skipped under "on" where the ScheduleVerifier
-// proved the design point, doubled by completion asserts under
-// "verify"). A naive run and a fast-forward run under each mode must
-// produce byte-identical result digests, and must both have applied
-// the same commands through the ring (compiledCommands > 0), or the
-// comparison proves nothing.
+// ring in every mode, and every CAS asserts its completion there;
+// sim.compiled only decides whether the TimingChecker audits (skipped
+// under "on" where the ScheduleVerifier proved the design point). A
+// naive run (audited) and a fast-forward run under "on" must produce
+// byte-identical result digests, and must both have applied the same
+// commands through the ring (compiledCommands > 0), or the comparison
+// proves nothing.
 // ==================================================================
 
 namespace {
 
 void
-expectCompiledIdentical(Config cfg, const std::string &what,
-                        const std::string &mode = "on")
+expectCompiledIdentical(Config cfg, const std::string &what)
 {
     cfg.set("sim.fastforward", false);
     const ExperimentResult naive = runExperiment(cfg);
     cfg.set("sim.fastforward", true);
-    cfg.set("sim.compiled", mode);
+    cfg.set("sim.compiled", "on");
     const ExperimentResult compiled = runExperiment(cfg);
     EXPECT_EQ(resultDigest(naive), resultDigest(compiled))
-        << what << " sim.compiled=" << mode;
+        << what << " sim.compiled=on";
     EXPECT_GT(compiled.compiledCommands, 0u)
         << what << ": replay never engaged, differential is vacuous";
     EXPECT_EQ(naive.compiledCommands, compiled.compiledCommands)
@@ -249,13 +248,11 @@ expectCompiledIdentical(Config cfg, const std::string &what,
 
 void
 expectCompiledIdentical(const std::string &scheme,
-                        const std::string &workload, uint64_t seed,
-                        const std::string &mode = "on")
+                        const std::string &workload, uint64_t seed)
 {
     expectCompiledIdentical(diffConfig(scheme, workload, seed),
                             scheme + "/" + workload +
-                                " seed=" + std::to_string(seed),
-                            mode);
+                                " seed=" + std::to_string(seed));
 }
 
 } // namespace
@@ -317,18 +314,6 @@ TEST(CompiledDiff, TpNoPartition)
     expectCompiledIdentical("tp_np", "mcf", 1);
 }
 
-// Verify mode keeps the dynamic TimingChecker and the
-// completion-prediction cross-check armed; it must also be
-// digest-identical (and catches a table that only "works" because
-// the checker stopped looking).
-TEST(CompiledDiff, VerifyModeIdentical)
-{
-    expectCompiledIdentical("fs_rp", "mcf", 1, "verify");
-    expectCompiledIdentical("fs_np", "hog", 1, "verify");
-    expectCompiledIdentical("tp_bp", "mcf", 1, "verify");
-    expectCompiledIdentical("fs_reordered_bp", "mcf", 1, "verify");
-}
-
 // Refresh epochs are proven by verify(l) over the refresh hyperperiod
 // and replayed like every other slot: REF bursts, blackouts and rank
 // power-down credits must land on the naive digest.
@@ -337,7 +322,6 @@ TEST(CompiledDiff, RefreshReplaysThroughRing)
     Config cfg = diffConfig("fs_rp", "mcf", 1);
     cfg.set("dram.refresh", true);
     expectCompiledIdentical(cfg, "fs_rp + refresh");
-    expectCompiledIdentical(cfg, "fs_rp + refresh", "verify");
 
     Config pd = diffConfig("fs_rp_powerdown", "mix2", 1);
     pd.set("dram.refresh", true);

@@ -360,10 +360,8 @@ TEST(SlotSkew, EveryPlannedDummyIsIssued)
     const core::PipelineSolution sol =
         solver.solveBest(core::PartitionLevel::Rank);
     const auto &off = sol.offsets;
-    const int minOff = std::min(
-        {off.actRead, off.actWrite, off.casRead, off.casWrite, 0});
-    const double inFlight =
-        static_cast<double>((off.casRead - minOff) / sol.l + 1);
+    const double inFlight = static_cast<double>(
+        (off.casRead + static_cast<long>(off.lead())) / sol.l + 1);
     EXPECT_GT(planned, 0.0);
     EXPECT_LE(planned - issued, inFlight)
         << planned << " dummy ops planned, " << issued

@@ -179,3 +179,16 @@ TEST(Harness, ZeroQueueCapacityIsFatal)
     EXPECT_EXIT(runExperiment(c), ::testing::ExitedWithCode(1),
                 "mc.queue_capacity 0");
 }
+
+TEST(Harness, ZeroCpuMultIsFatal)
+{
+    // 0 ticks no CPU cycle: every core would report IPC 0 and read
+    // latency 0 instead of failing. 2^32 truncates to the same 0.
+    for (const char *bad : {"0", "4294967296"}) {
+        Config c = tinyConfig("fs_rp", "mcf");
+        c.set("core.cpu_mult", bad);
+        EXPECT_EXIT(runExperiment(c), ::testing::ExitedWithCode(1),
+                    std::string("core.cpu_mult ") + bad)
+            << bad;
+    }
+}
