@@ -15,10 +15,17 @@
  * is bit-equality of every double; the repo's determinism guarantees
  * make that stable across runs, thread counts, and the idle-skip
  * fast path.
+ *
+ * snapshot.digest pins the checkpoint *bytes* rather than the
+ * observables: a layout change that still round-trips (and so passes
+ * test_checkpoint_diff) moves it. Regenerate it only together with a
+ * kSnapshotVersion bump.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -30,6 +37,8 @@
 #include "harness/campaign.hh"
 #include "harness/experiment.hh"
 #include "leakage/channel.hh"
+#include "util/serialize.hh"
+#include "util/thread_pool.hh"
 
 using namespace memsec;
 using namespace memsec::harness;
@@ -102,6 +111,21 @@ campaignDigest(const std::vector<std::string> &schemes,
            << resultDigest(campaign.result(i));
     }
     return os.str();
+}
+
+/** FNV-1a, 64-bit: a stable fingerprint of a byte string. */
+std::string
+fnv1a64(const std::string &bytes)
+{
+    uint64_t h = 0xcbf29ce484222325ull;
+    for (char c : bytes) {
+        h ^= static_cast<uint8_t>(c);
+        h *= 0x100000001b3ull;
+    }
+    char buf[17];
+    std::snprintf(buf, sizeof(buf), "%016llx",
+                  static_cast<unsigned long long>(h));
+    return buf;
 }
 
 /** The tab_solver analytics for one DRAM part, hexfloat-exact. */
@@ -288,4 +312,116 @@ TEST(GoldenStats, TabSolverAnalytics)
     solverDigest(os, "DDR3-2133", dram::TimingParams::ddr3_2133());
     solverDigest(os, "DDR4-2400", dram::TimingParams::ddr4_2400());
     compareOrRegen("tab_solver.digest", os.str());
+}
+
+TEST(GoldenStats, SnapshotBytes)
+{
+    // The checkpoint layouts frozen as data: for every test_checkpoint
+    // _diff design point (plus FS power-down with refresh, a fault
+    // kind that floods the queues, a 2-channel sharded run and
+    // open-loop MMPP), the size and FNV-1a-64 of the snapshot payload
+    // taken mid-run, and of the journal entry (serializeResult) of the
+    // finished run. Snapshots are fingerprint-bound, so only the
+    // payload is hashed here.
+    struct Arm
+    {
+        const char *label;
+        const char *scheme;
+        const char *workload;
+        uint64_t seed;
+        std::vector<std::pair<const char *, const char *>> keys;
+        Cycle chop = 5000; ///< cycle at which the snapshot is taken
+    };
+    const Cycle refi = dram::TimingParams::ddr3_1600_4gb().refi;
+    const std::vector<Arm> arms = {
+        {"fs_rp/mcf/1", "fs_rp", "mcf", 1, {}},
+        {"fs_rp/libquantum/42", "fs_rp", "libquantum", 42, {}},
+        {"fs_bp/milc/7", "fs_bp", "milc", 7, {}},
+        {"fs_np/mcf/1", "fs_np", "mcf", 1, {}},
+        {"fs_np+naive/mcf/1", "fs_np", "mcf", 1,
+         {{"sim.fastforward", "false"}}},
+        {"fs_rp_powerdown/mcf/1", "fs_rp_powerdown", "mcf", 1, {}},
+        {"fs_rp_prefetch/libquantum/1", "fs_rp_prefetch", "libquantum",
+         1, {}},
+        {"fs_reordered_bp/mcf/1", "fs_reordered_bp", "mcf", 1, {}},
+        {"fs_reordered+rank/milc/42", "fs_reordered_bp", "milc", 42,
+         {{"map.partition", "rank"}}},
+        {"tp_bp/mcf/1", "tp_bp", "mcf", 1, {}},
+        {"tp_bp/astar/42", "tp_bp", "astar", 42, {}},
+        {"tp_np/xalancbmk/7", "tp_np", "xalancbmk", 7, {}},
+        {"baseline/mcf/1", "baseline", "mcf", 1, {}},
+        {"baseline_prefetch/mcf/1", "baseline_prefetch", "mcf", 1, {}},
+        {"channel_part/mcf/1", "channel_part", "mcf", 1, {}},
+        {"fs_rp+slot-skew/mcf/1", "fs_rp", "mcf", 1,
+         {{"fault.kind", "slot-skew"}}},
+        {"fs_rp+queue-overflow/mcf/1", "fs_rp", "mcf", 1,
+         {{"fault.kind", "queue-overflow"}}},
+        {"fs_rp+compiled/mcf/1", "fs_rp", "mcf", 1,
+         {{"sim.compiled", "on"}}},
+        {"tp_bp+compiled/mcf/1", "tp_bp", "mcf", 1,
+         {{"sim.compiled", "on"}}},
+        {"fs_reordered_bp+compiled/mcf/1", "fs_reordered_bp", "mcf", 1,
+         {{"sim.compiled", "on"}}},
+        {"fs_rp_powerdown+refresh/mix2/1", "fs_rp_powerdown", "mix2", 1,
+         {{"dram.refresh", "true"}},
+         refi + 3},
+        {"fs_rp_powerdown+refresh+compiled/mix2/1", "fs_rp_powerdown",
+         "mix2", 1,
+         {{"dram.refresh", "true"}, {"sim.compiled", "on"}},
+         2 * refi + 100},
+        {"fs_rp+2ch+shards/mcf/1", "fs_rp", "mcf", 1,
+         {{"dram.channels", "2"}, {"cores", "8"}, {"sim.shards", "2"}}},
+        {"fs_rp+mmpp/cloud/1", "fs_rp", "cloud", 1,
+         {{"dram.channels", "2"},
+          {"cores", "8"},
+          {"traffic.process", "mmpp"},
+          {"traffic.rate", "6.0"},
+          {"traffic.clients", "16"}}},
+    };
+
+    std::vector<std::string> lines(arms.size());
+    {
+        ThreadPool pool(4);
+        for (size_t i = 0; i < arms.size(); ++i) {
+            pool.submit([&arms, &lines, i] {
+                const Arm &a = arms[i];
+                // Same design point as test_checkpoint_diff's
+                // diffConfig.
+                Config c = defaultConfig();
+                c.merge(schemeConfig(a.scheme));
+                c.set("workload", a.workload);
+                c.set("cores", 4);
+                c.set("seed", a.seed);
+                c.set("sim.warmup", 1500);
+                c.set("sim.measure", 12000);
+                c.set("audit.core", 0);
+                c.set("audit.progress_interval", 1000);
+                for (const auto &[key, value] : a.keys)
+                    c.set(key, value);
+
+                ExperimentSystem sys(c);
+                sys.step(a.chop);
+                Serializer snap;
+                sys.saveState(snap);
+                while (!sys.done())
+                    sys.step(kNoCycle);
+                Serializer journal;
+                serializeResult(journal, sys.finish());
+
+                std::ostringstream os;
+                os << a.label << " snapshot=" << snap.size() << ":"
+                   << fnv1a64(snap.data())
+                   << " journal=" << journal.size() << ":"
+                   << fnv1a64(journal.data()) << "\n";
+                lines[i] = os.str();
+            });
+        }
+        pool.wait();
+    }
+
+    std::ostringstream os;
+    os << "snapshot-version " << kSnapshotVersion << "\n";
+    for (const std::string &l : lines)
+        os << l;
+    compareOrRegen("snapshot.digest", os.str());
 }

@@ -6,6 +6,13 @@
 # are hexfloat-exact, so "close enough" does not exist: any diff is a
 # real behavioural change.
 #
+# snapshot.digest is different: it pins the checkpoint and journal
+# *bytes* (src/util/serialize.hh), not simulated observables. Regenerate
+# it only together with a kSnapshotVersion bump, and state the reason
+# for the layout change in the commit. A refactor of the checkpoint
+# code must pass it unregenerated; old snapshots and journals are
+# rejected by version, never mis-decoded.
+#
 # Usage: tools/regen_golden.sh [build-dir]   (default: build)
 set -euo pipefail
 builddir="${1:-build}"
