@@ -109,45 +109,33 @@ Cache::markDirty(Addr addr)
         meta_[i].dirty = true;
 }
 
+template <class Self, class Ar>
 void
-Cache::saveState(Serializer &s) const
+Cache::transfer(Self &self, Ar &a)
 {
     // Per line: tag, valid, dirty, prefetched, LRU stamp. A way that
     // was never filled saves tag 0.
-    s.section("cache");
-    s.putU64(numSets_);
-    for (size_t i = 0; i < tags_.size(); ++i) {
-        const bool valid = tags_[i] != kInvalidTag;
-        s.putU64(valid ? tags_[i] : 0);
-        s.putBool(valid);
-        s.putBool(meta_[i].dirty);
-        s.putBool(meta_[i].prefetched);
-        s.putU64(meta_[i].lruStamp);
+    a.section("cache");
+    a.count(self.numSets_, "cache set count mismatch");
+    for (size_t i = 0; i < self.tags_.size(); ++i) {
+        bool valid = self.tags_[i] != kInvalidTag;
+        Addr tag = valid ? self.tags_[i] : 0;
+        a.u64(tag);
+        a.flag(valid);
+        a.check(!valid || tag != kInvalidTag, "cache tag out of range");
+        if constexpr (Ar::kLoading)
+            self.tags_[i] = valid ? tag : kInvalidTag;
+        auto &meta = self.meta_[i];
+        a.flag(meta.dirty);
+        a.flag(meta.prefetched);
+        a.u64(meta.lruStamp);
     }
-    s.putU64(stamp_);
-    hits_.saveState(s);
-    misses_.saveState(s);
+    a.u64(self.stamp_);
+    a.nested(self.hits_);
+    a.nested(self.misses_);
 }
 
-void
-Cache::restoreState(Deserializer &d)
-{
-    d.section("cache");
-    if (d.getU64() != numSets_)
-        d.fail("cache set count mismatch");
-    for (size_t i = 0; i < tags_.size(); ++i) {
-        const Addr tag = d.getU64();
-        const bool valid = d.getBool();
-        if (valid && tag == kInvalidTag)
-            d.fail("cache tag out of range");
-        tags_[i] = valid ? tag : kInvalidTag;
-        meta_[i].dirty = d.getBool();
-        meta_[i].prefetched = d.getBool();
-        meta_[i].lruStamp = d.getU64();
-    }
-    stamp_ = d.getU64();
-    hits_.restoreState(d);
-    misses_.restoreState(d);
-}
+template void Cache::transfer(const Cache &, Serializer &);
+template void Cache::transfer(Cache &, Deserializer &);
 
 } // namespace memsec::cache

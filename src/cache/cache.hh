@@ -18,11 +18,6 @@
 #include "sim/types.hh"
 #include "stats/stats.hh"
 
-namespace memsec {
-class Serializer;
-class Deserializer;
-} // namespace memsec
-
 namespace memsec::cache {
 
 /** Result of a cache access. */
@@ -72,8 +67,9 @@ class Cache
     const Counter &hits() const { return hits_; }
     const Counter &misses() const { return misses_; }
 
-    void saveState(Serializer &s) const;
-    void restoreState(Deserializer &d);
+    /** Checkpoint layout (util/serialize.hh). */
+    template <class Self, class Ar>
+    static void transfer(Self &self, Ar &a);
 
   private:
     /** Tag of a way that holds no line (real tags are far smaller). */

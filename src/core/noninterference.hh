@@ -44,6 +44,20 @@ struct VictimTimeline
     std::vector<uint64_t> progress;
 
     void recordService(Cycle arrival, Cycle completed);
+
+    /** Checkpoint layout (util/serialize.hh), shared by CoreModel
+     *  and the campaign journal. */
+    template <class Self, class Ar>
+    static void
+    transfer(Self &self, Ar &a)
+    {
+        a.seq(self.service, [&](auto &ev) {
+            a.u64(ev.ordinal);
+            a.u64(ev.arrival);
+            a.u64(ev.completed);
+        });
+        a.seq(self.progress, [&](auto &p) { a.u64(p); });
+    }
 };
 
 /** Outcome of comparing two victim timelines. */

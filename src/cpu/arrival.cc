@@ -208,59 +208,38 @@ ArrivalTraceGenerator::next()
     return rec;
 }
 
+template <class Self, class Ar>
+void
+ArrivalTraceGenerator::transfer(Self &self, Ar &a)
+{
+    a.section("arrival");
+    a.nested(self.rng_);
+    a.fixed(self.sources_, "arrival source count mismatch",
+            [&](auto &src) {
+                a.flag(src.burst);
+                a.u64(src.nextToggle);
+                a.u64(src.nextArrival);
+            });
+    a.fixed(self.streamPos_, "arrival stream count mismatch",
+            [&](auto &p) { a.u64(p); });
+    a.u32(self.streamRr_);
+    a.fixed(self.recent_, "arrival reuse-ring size mismatch",
+            [&](auto &line) { a.u64(line); });
+    a.u64(self.recentIdx_);
+    a.u64(self.memCycle_);
+    a.u64(self.arrivals_);
+}
+
 void
 ArrivalTraceGenerator::saveState(Serializer &s) const
 {
-    s.section("arrival");
-    uint64_t rngState[4];
-    rng_.getState(rngState);
-    for (uint64_t w : rngState)
-        s.putU64(w);
-    s.putU64(sources_.size());
-    for (const auto &src : sources_) {
-        s.putBool(src.burst);
-        s.putU64(src.nextToggle);
-        s.putU64(src.nextArrival);
-    }
-    s.putU64(streamPos_.size());
-    for (uint64_t p : streamPos_)
-        s.putU64(p);
-    s.putU32(streamRr_);
-    s.putU64(recent_.size());
-    for (Addr a : recent_)
-        s.putU64(a);
-    s.putU64(recentIdx_);
-    s.putU64(memCycle_);
-    s.putU64(arrivals_);
+    transfer(*this, s);
 }
 
 void
 ArrivalTraceGenerator::restoreState(Deserializer &d)
 {
-    d.section("arrival");
-    uint64_t rngState[4];
-    for (uint64_t &w : rngState)
-        w = d.getU64();
-    rng_.setState(rngState);
-    if (d.getU64() != sources_.size())
-        d.fail("arrival source count mismatch");
-    for (auto &src : sources_) {
-        src.burst = d.getBool();
-        src.nextToggle = d.getU64();
-        src.nextArrival = d.getU64();
-    }
-    if (d.getU64() != streamPos_.size())
-        d.fail("arrival stream count mismatch");
-    for (uint64_t &p : streamPos_)
-        p = d.getU64();
-    streamRr_ = d.getU32();
-    if (d.getU64() != recent_.size())
-        d.fail("arrival reuse-ring size mismatch");
-    for (Addr &a : recent_)
-        a = d.getU64();
-    recentIdx_ = d.getU64();
-    memCycle_ = d.getU64();
-    arrivals_ = d.getU64();
+    transfer(*this, d);
 }
 
 } // namespace memsec::cpu

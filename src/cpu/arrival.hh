@@ -80,6 +80,10 @@ class ArrivalTraceGenerator : public TraceGenerator
     const WorkloadProfile &profile() const { return profile_; }
 
   private:
+    /** Checkpoint layout (util/serialize.hh). */
+    template <class Self, class Ar>
+    static void transfer(Self &self, Ar &a);
+
     /** One independent burst/idle client aggregate. */
     struct Source
     {

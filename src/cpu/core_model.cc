@@ -211,170 +211,86 @@ CoreModel::fastForward(Cycle from, Cycle to)
     robStallCycles_.inc(subCycles);
 }
 
+template <class Self, class Ar>
+void
+CoreModel::transfer(Self &self, Ar &a)
+{
+    a.section("core");
+    a.nested(*self.trace_);
+    a.nested(self.llc_);
+    a.nested(self.prefetcher_);
+
+    a.seq(self.rob_, [&](auto &rec) {
+        a.u64(rec.instrs);
+        a.u64(rec.retiredOfThis);
+        a.flag(rec.isStore);
+        a.u64(rec.addr);
+        a.enumU8(rec.state, Record::State::NeedsIssue, "ROB record state");
+        a.u64(rec.doneAt);
+        a.u64(rec.issueAt);
+    });
+    a.u64(self.robInstrs_);
+
+    a.map(self.mshr_, [&](auto &addr, auto &entry) {
+        a.u64(addr);
+        a.flag(entry.fillDirty);
+        a.flag(entry.isPrefetch);
+        a.flag(entry.demandTouched);
+        // Waiters are pointers into rob_; they travel as ROB indices
+        // (deque element addresses are stable, so the scan is exact).
+        a.seq(entry.waiters, [&](auto &w) {
+            uint64_t idx = 0;
+            if constexpr (!Ar::kLoading) {
+                while (idx < self.rob_.size() && &self.rob_[idx] != w)
+                    ++idx;
+                panic_if(idx == self.rob_.size(),
+                         "{}: MSHR waiter not found in ROB", self.name());
+            }
+            a.u64(idx);
+            a.check(idx < self.rob_.size(), "MSHR waiter index out of range");
+            if constexpr (Ar::kLoading)
+                w = &self.rob_[idx];
+        });
+    });
+    a.u64(self.prefetchInflight_);
+
+    a.seq(self.pendingStoreFetches_, [&](auto &line) { a.u64(line); });
+    a.seq(self.writebacks_, [&](auto &line) { a.u64(line); });
+
+    a.u64(self.memNow_);
+    a.u64(self.cpuCycles_);
+    a.u64(self.retired_);
+    a.u64(self.measureStartCycle_);
+    a.u64(self.measureStartRetired_);
+
+    a.nested(self.timeline_);
+    a.u64(self.nextProgressMark_);
+
+    a.nested(self.loads_);
+    a.nested(self.stores_);
+    a.nested(self.llcMisses_);
+    a.nested(self.memReads_);
+    a.nested(self.memWritebacks_);
+    a.nested(self.prefetchIssued_);
+    a.nested(self.prefetchUseful_);
+    a.nested(self.robStallCycles_);
+}
+
 void
 CoreModel::saveState(Serializer &s) const
 {
-    s.section("core");
-    trace_->saveState(s);
-    llc_.saveState(s);
-    prefetcher_.saveState(s);
-
-    s.putU64(rob_.size());
-    for (const Record &rec : rob_) {
-        s.putU64(rec.instrs);
-        s.putU64(rec.retiredOfThis);
-        s.putBool(rec.isStore);
-        s.putU64(rec.addr);
-        s.putU8(static_cast<uint8_t>(rec.state));
-        s.putU64(rec.doneAt);
-        s.putU64(rec.issueAt);
-    }
-    s.putU64(robInstrs_);
-
-    // MSHR waiters are pointers into rob_; encode them as ROB indices
-    // (deque element addresses are stable, so the scan is exact).
-    s.putU64(mshr_.size());
-    for (const auto &[addr, entry] : mshr_) {
-        s.putU64(addr);
-        s.putBool(entry.fillDirty);
-        s.putBool(entry.isPrefetch);
-        s.putBool(entry.demandTouched);
-        s.putU64(entry.waiters.size());
-        for (const Record *w : entry.waiters) {
-            size_t idx = rob_.size();
-            for (size_t i = 0; i < rob_.size(); ++i) {
-                if (&rob_[i] == w) {
-                    idx = i;
-                    break;
-                }
-            }
-            panic_if(idx == rob_.size(),
-                     "{}: MSHR waiter not found in ROB", name());
-            s.putU64(idx);
-        }
-    }
-    s.putU64(prefetchInflight_);
-
-    s.putU64(pendingStoreFetches_.size());
-    for (Addr a : pendingStoreFetches_)
-        s.putU64(a);
-    s.putU64(writebacks_.size());
-    for (Addr a : writebacks_)
-        s.putU64(a);
-
-    s.putU64(memNow_);
-    s.putU64(cpuCycles_);
-    s.putU64(retired_);
-    s.putU64(measureStartCycle_);
-    s.putU64(measureStartRetired_);
-
-    s.putU64(timeline_.service.size());
-    for (const auto &ev : timeline_.service) {
-        s.putU64(ev.ordinal);
-        s.putU64(ev.arrival);
-        s.putU64(ev.completed);
-    }
-    s.putU64(timeline_.progress.size());
-    for (uint64_t p : timeline_.progress)
-        s.putU64(p);
-    s.putU64(nextProgressMark_);
-
-    loads_.saveState(s);
-    stores_.saveState(s);
-    llcMisses_.saveState(s);
-    memReads_.saveState(s);
-    memWritebacks_.saveState(s);
-    prefetchIssued_.saveState(s);
-    prefetchUseful_.saveState(s);
-    robStallCycles_.saveState(s);
+    transfer(*this, s);
 }
 
 void
 CoreModel::restoreState(Deserializer &d)
 {
+    transfer(*this, d);
+    needsIssue_ = static_cast<size_t>(
+        std::count_if(rob_.begin(), rob_.end(), [](const Record &rec) {
+            return rec.state == Record::State::NeedsIssue;
+        }));
     wakeMemoValid_ = false;
-    d.section("core");
-    trace_->restoreState(d);
-    llc_.restoreState(d);
-    prefetcher_.restoreState(d);
-
-    const uint64_t robCount = d.getU64();
-    rob_.clear();
-    needsIssue_ = 0;
-    for (uint64_t i = 0; i < robCount; ++i) {
-        Record rec;
-        rec.instrs = d.getU64();
-        rec.retiredOfThis = d.getU64();
-        rec.isStore = d.getBool();
-        rec.addr = d.getU64();
-        const uint8_t state = d.getU8();
-        if (state > static_cast<uint8_t>(Record::State::NeedsIssue))
-            d.fail("bad ROB record state");
-        rec.state = static_cast<Record::State>(state);
-        rec.doneAt = d.getU64();
-        rec.issueAt = d.getU64();
-        if (rec.state == Record::State::NeedsIssue)
-            ++needsIssue_;
-        rob_.push_back(rec);
-    }
-    robInstrs_ = d.getU64();
-
-    const uint64_t mshrCount = d.getU64();
-    mshr_.clear();
-    for (uint64_t i = 0; i < mshrCount; ++i) {
-        const Addr addr = d.getU64();
-        MshrEntry &entry = mshr_[addr];
-        entry.fillDirty = d.getBool();
-        entry.isPrefetch = d.getBool();
-        entry.demandTouched = d.getBool();
-        const uint64_t waiters = d.getU64();
-        for (uint64_t w = 0; w < waiters; ++w) {
-            const uint64_t idx = d.getU64();
-            if (idx >= rob_.size())
-                d.fail("MSHR waiter index out of range");
-            entry.waiters.push_back(&rob_[idx]);
-        }
-    }
-    prefetchInflight_ = d.getU64();
-
-    const uint64_t pending = d.getU64();
-    pendingStoreFetches_.clear();
-    for (uint64_t i = 0; i < pending; ++i)
-        pendingStoreFetches_.push_back(d.getU64());
-    const uint64_t wbs = d.getU64();
-    writebacks_.clear();
-    for (uint64_t i = 0; i < wbs; ++i)
-        writebacks_.push_back(d.getU64());
-
-    memNow_ = d.getU64();
-    cpuCycles_ = d.getU64();
-    retired_ = d.getU64();
-    measureStartCycle_ = d.getU64();
-    measureStartRetired_ = d.getU64();
-
-    const uint64_t events = d.getU64();
-    timeline_.service.clear();
-    for (uint64_t i = 0; i < events; ++i) {
-        core::ServiceEvent ev;
-        ev.ordinal = d.getU64();
-        ev.arrival = d.getU64();
-        ev.completed = d.getU64();
-        timeline_.service.push_back(ev);
-    }
-    const uint64_t marks = d.getU64();
-    timeline_.progress.clear();
-    for (uint64_t i = 0; i < marks; ++i)
-        timeline_.progress.push_back(d.getU64());
-    nextProgressMark_ = d.getU64();
-
-    loads_.restoreState(d);
-    stores_.restoreState(d);
-    llcMisses_.restoreState(d);
-    memReads_.restoreState(d);
-    memWritebacks_.restoreState(d);
-    prefetchIssued_.restoreState(d);
-    prefetchUseful_.restoreState(d);
-    robStallCycles_.restoreState(d);
 }
 
 void

@@ -88,6 +88,11 @@ class CoreModel : public Component, public mem::MemClient
     uint64_t prefetchUseful() const { return prefetchUseful_.value(); }
 
   private:
+    /** Checkpoint layout (util/serialize.hh). restoreState() also
+     *  rebuilds the derived NeedsIssue count and drops the wake memo. */
+    template <class Self, class Ar>
+    static void transfer(Self &self, Ar &a);
+
     struct Record
     {
         uint64_t instrs = 1;      ///< gap + the memory op itself

@@ -68,43 +68,24 @@ SandboxPrefetcher::onMiss(Addr addr)
     return out;
 }
 
+template <class Self, class Ar>
 void
-SandboxPrefetcher::saveState(Serializer &s) const
+SandboxPrefetcher::transfer(Self &self, Ar &a)
 {
-    s.section("prefetcher");
-    s.putU64(scores_.size());
-    for (unsigned v : scores_)
-        s.putU32(v);
-    s.putU64(recentMisses_.size());
-    for (Addr a : recentMisses_)
-        s.putU64(a);
-    s.putU64(recentIdx_);
-    s.putU32(evalCount_);
-    s.putU64(active_.size());
-    for (int off : active_)
-        s.putI64(off);
-    issued_.saveState(s);
+    a.section("prefetcher");
+    a.fixed(self.scores_, "prefetcher score count mismatch",
+            [&](auto &v) { a.u32(v); });
+    a.fixed(self.recentMisses_, "prefetcher miss-ring size mismatch",
+            [&](auto &line) { a.u64(line); });
+    a.u64(self.recentIdx_);
+    a.u32(self.evalCount_);
+    a.seq(self.active_, [&](auto &off) { a.i64(off); });
+    a.nested(self.issued_);
 }
 
-void
-SandboxPrefetcher::restoreState(Deserializer &d)
-{
-    d.section("prefetcher");
-    if (d.getU64() != scores_.size())
-        d.fail("prefetcher score count mismatch");
-    for (unsigned &v : scores_)
-        v = d.getU32();
-    const uint64_t misses = d.getU64();
-    recentMisses_.clear();
-    for (uint64_t i = 0; i < misses; ++i)
-        recentMisses_.push_back(d.getU64());
-    recentIdx_ = d.getU64();
-    evalCount_ = d.getU32();
-    const uint64_t nactive = d.getU64();
-    active_.clear();
-    for (uint64_t i = 0; i < nactive; ++i)
-        active_.push_back(static_cast<int>(d.getI64()));
-    issued_.restoreState(d);
-}
+template void SandboxPrefetcher::transfer(const SandboxPrefetcher &,
+                                          Serializer &);
+template void SandboxPrefetcher::transfer(SandboxPrefetcher &,
+                                          Deserializer &);
 
 } // namespace memsec::cpu

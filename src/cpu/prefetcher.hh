@@ -18,11 +18,6 @@
 #include "sim/types.hh"
 #include "stats/stats.hh"
 
-namespace memsec {
-class Serializer;
-class Deserializer;
-} // namespace memsec
-
 namespace memsec::cpu {
 
 /** Offset-candidate sandbox prefetcher. */
@@ -52,8 +47,9 @@ class SandboxPrefetcher
 
     const Counter &issuedCandidates() const { return issued_; }
 
-    void saveState(Serializer &s) const;
-    void restoreState(Deserializer &d);
+    /** Checkpoint layout (util/serialize.hh). */
+    template <class Self, class Ar>
+    static void transfer(Self &self, Ar &a);
 
   private:
     Params params_;

@@ -95,48 +95,33 @@ SyntheticTraceGenerator::next()
     return rec;
 }
 
+template <class Self, class Ar>
+void
+SyntheticTraceGenerator::transfer(Self &self, Ar &a)
+{
+    a.section("synthtrace");
+    a.nested(self.rng_);
+    a.fixed(self.streamPos_, "trace stream count mismatch",
+            [&](auto &p) { a.u64(p); });
+    a.u32(self.streamRr_);
+    a.fixed(self.recent_, "trace reuse-ring size mismatch",
+            [&](auto &line) { a.u64(line); });
+    a.u64(self.recentIdx_);
+    a.flag(self.busyPhase_);
+    a.u64(self.phaseLeft_);
+    a.u64(self.memCycle_);
+}
+
 void
 SyntheticTraceGenerator::saveState(Serializer &s) const
 {
-    s.section("synthtrace");
-    uint64_t rngState[4];
-    rng_.getState(rngState);
-    for (uint64_t w : rngState)
-        s.putU64(w);
-    s.putU64(streamPos_.size());
-    for (uint64_t p : streamPos_)
-        s.putU64(p);
-    s.putU32(streamRr_);
-    s.putU64(recent_.size());
-    for (Addr a : recent_)
-        s.putU64(a);
-    s.putU64(recentIdx_);
-    s.putBool(busyPhase_);
-    s.putU64(phaseLeft_);
-    s.putU64(memCycle_);
+    transfer(*this, s);
 }
 
 void
 SyntheticTraceGenerator::restoreState(Deserializer &d)
 {
-    d.section("synthtrace");
-    uint64_t rngState[4];
-    for (uint64_t &w : rngState)
-        w = d.getU64();
-    rng_.setState(rngState);
-    if (d.getU64() != streamPos_.size())
-        d.fail("trace stream count mismatch");
-    for (uint64_t &p : streamPos_)
-        p = d.getU64();
-    streamRr_ = d.getU32();
-    if (d.getU64() != recent_.size())
-        d.fail("trace reuse-ring size mismatch");
-    for (Addr &a : recent_)
-        a = d.getU64();
-    recentIdx_ = d.getU64();
-    busyPhase_ = d.getBool();
-    phaseLeft_ = d.getU64();
-    memCycle_ = d.getU64();
+    transfer(*this, d);
 }
 
 } // namespace memsec::cpu

@@ -67,8 +67,9 @@ class TraceGenerator
     /**
      * Checkpoint the generator's mutable state (RNG streams, replay
      * position, phase machinery). Stateless generators may keep the
-     * no-op defaults; stateful ones must override both so a restored
-     * run replays the exact same record sequence.
+     * no-op defaults; stateful ones override both with one shared
+     * transfer() (util/serialize.hh) so a restored run replays the
+     * exact same record sequence.
      */
     virtual void saveState(Serializer &s) const { (void)s; }
     virtual void restoreState(Deserializer &d) { (void)d; }
@@ -183,6 +184,10 @@ class SyntheticTraceGenerator : public TraceGenerator
     const WorkloadProfile &profile() const { return profile_; }
 
   private:
+    /** Checkpoint layout (util/serialize.hh). */
+    template <class Self, class Ar>
+    static void transfer(Self &self, Ar &a);
+
     Addr pickLine();
 
     WorkloadProfile profile_;

@@ -277,25 +277,28 @@ FileTraceGenerator::next()
     return rec;
 }
 
+template <class Self, class Ar>
+void
+FileTraceGenerator::transfer(Self &self, Ar &a)
+{
+    a.section("filetrace");
+    a.count(self.records_.size(), "trace record count mismatch");
+    a.u64(self.pos_);
+    a.check(self.pos_ < self.records_.size(),
+            "trace replay position out of range");
+    a.u64(self.loops_);
+}
+
 void
 FileTraceGenerator::saveState(Serializer &s) const
 {
-    s.section("filetrace");
-    s.putU64(records_.size());
-    s.putU64(pos_);
-    s.putU64(loops_);
+    transfer(*this, s);
 }
 
 void
 FileTraceGenerator::restoreState(Deserializer &d)
 {
-    d.section("filetrace");
-    if (d.getU64() != records_.size())
-        d.fail("trace record count mismatch");
-    pos_ = d.getU64();
-    if (pos_ >= records_.size())
-        d.fail("trace replay position out of range");
-    loops_ = d.getU64();
+    transfer(*this, d);
 }
 
 void

@@ -62,6 +62,10 @@ class FileTraceGenerator : public TraceGenerator
     uint64_t loops() const { return loops_; }
 
   private:
+    /** Checkpoint layout (util/serialize.hh). */
+    template <class Self, class Ar>
+    static void transfer(Self &self, Ar &a);
+
     std::vector<TraceRecord> records_;
     size_t pos_ = 0;
     uint64_t loops_ = 0;

@@ -14,11 +14,6 @@
 #include "dram/timing.hh"
 #include "sim/types.hh"
 
-namespace memsec {
-class Serializer;
-class Deserializer;
-} // namespace memsec
-
 namespace memsec::dram {
 
 /** State and timing windows of one DRAM bank. */
@@ -60,8 +55,17 @@ class Bank
     /** Reset to the power-on state. */
     void reset();
 
-    void saveState(Serializer &s) const;
-    void restoreState(Deserializer &d);
+    /** Checkpoint layout (util/serialize.hh). */
+    template <class Self, class Ar>
+    static void
+    transfer(Self &self, Ar &a)
+    {
+        a.u32(self.openRow_);
+        a.u64(self.nextAct_);
+        a.u64(self.nextRead_);
+        a.u64(self.nextWrite_);
+        a.u64(self.nextPre_);
+    }
 
   private:
     unsigned openRow_ = kNoRow;

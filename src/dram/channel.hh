@@ -10,11 +10,6 @@
 #include "dram/timing.hh"
 #include "sim/types.hh"
 
-namespace memsec {
-class Serializer;
-class Deserializer;
-} // namespace memsec
-
 namespace memsec::dram {
 
 /** Shared address/command and data buses of one channel. */
@@ -67,8 +62,17 @@ class ChannelBuses
     /** Total commands carried (for command-bus utilisation). */
     uint64_t commandCount() const { return commandCount_; }
 
-    void saveState(Serializer &s) const;
-    void restoreState(Deserializer &d);
+    /** Checkpoint layout (util/serialize.hh). */
+    template <class Self, class Ar>
+    static void
+    transfer(Self &self, Ar &a)
+    {
+        a.u64(self.lastCmdCycle_);
+        a.u64(self.dataBusyUntil_);
+        a.u32(self.lastDataRank_);
+        a.u64(self.dataBusyCycles_);
+        a.u64(self.commandCount_);
+    }
 
   private:
     const TimingParams &tp_;

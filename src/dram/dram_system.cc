@@ -65,34 +65,22 @@ DramSystem::setCrashDumpDir(const std::string &dir, const std::string &tag)
     crashTag_ = tag;
 }
 
+template <class Self, class Ar>
 void
-DramSystem::saveState(Serializer &s) const
+DramSystem::transfer(Self &self, Ar &a)
 {
-    s.section("dram");
-    s.putU64(ranks_.size());
-    for (const Rank &rk : ranks_)
-        rk.saveState(s);
-    buses_.saveState(s);
-    checker_.saveState(s);
-    s.putU64(commandsIssued_);
-    s.putU64(illegalIssues_);
-    cmdLog_.saveState(s);
+    a.section("dram");
+    a.fixed(self.ranks_, "rank count mismatch",
+            [&](auto &rk) { a.nested(rk); });
+    a.nested(self.buses_);
+    a.nested(self.checker_);
+    a.u64(self.commandsIssued_);
+    a.u64(self.illegalIssues_);
+    a.nested(self.cmdLog_);
 }
 
-void
-DramSystem::restoreState(Deserializer &d)
-{
-    d.section("dram");
-    if (d.getU64() != ranks_.size())
-        d.fail("rank count mismatch");
-    for (Rank &rk : ranks_)
-        rk.restoreState(d);
-    buses_.restoreState(d);
-    checker_.restoreState(d);
-    commandsIssued_ = d.getU64();
-    illegalIssues_ = d.getU64();
-    cmdLog_.restoreState(d);
-}
+template void DramSystem::transfer(const DramSystem &, Serializer &);
+template void DramSystem::transfer(DramSystem &, Deserializer &);
 
 DramSystem::~DramSystem()
 {

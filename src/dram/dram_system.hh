@@ -28,8 +28,6 @@
 
 namespace memsec {
 class RunReport;
-class Serializer;
-class Deserializer;
 namespace fault {
 class FaultInjector;
 } // namespace fault
@@ -162,9 +160,10 @@ class DramSystem
      */
     void setCrashDumpDir(const std::string &dir, const std::string &tag);
 
-    /** Device + bus + auditor state (timing params are config). */
-    void saveState(Serializer &s) const;
-    void restoreState(Deserializer &d);
+    /** Checkpoint layout (util/serialize.hh): device, bus and
+     *  auditor state; the timing params are config. */
+    template <class Self, class Ar>
+    static void transfer(Self &self, Ar &a);
 
   private:
     TimingParams tp_;

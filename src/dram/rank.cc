@@ -7,65 +7,41 @@
 
 namespace memsec::dram {
 
+template <class Self, class Ar>
 void
-Rank::saveState(Serializer &s) const
+Rank::transfer(Self &self, Ar &a)
 {
-    s.section("rank");
-    for (const auto &b : banks_)
-        b.saveState(s);
-    s.putU64(nextActRrd_);
-    s.putU64(actWindow_.size());
-    for (size_t i = 0; i < actWindow_.size(); ++i)
-        s.putU64(actWindow_[i]);
-    s.putU64(nextRead_);
-    s.putU64(nextWrite_);
-    s.putU64(refreshEnd_);
-    s.putBool(poweredDown_);
-    s.putU64(pdEnteredAt_);
-    s.putU64(pdExitReadyAt_);
-    s.putU64(energy_.activates);
-    s.putU64(energy_.reads);
-    s.putU64(energy_.writes);
-    s.putU64(energy_.suppressedActs);
-    s.putU64(energy_.suppressedCas);
-    s.putU64(energy_.refreshes);
-    s.putU64(energy_.cyclesActive);
-    s.putU64(energy_.cyclesPrecharge);
-    s.putU64(energy_.cyclesPowerDown);
-    s.putU64(energy_.cyclesRefreshing);
+    a.section("rank");
+    for (auto &b : self.banks_)
+        a.nested(b);
+    a.u64(self.nextActRrd_);
+    a.seq(self.actWindow_, [&](auto &t) { a.u64(t); });
+    a.u64(self.nextRead_);
+    a.u64(self.nextWrite_);
+    a.u64(self.refreshEnd_);
+    a.flag(self.poweredDown_);
+    a.u64(self.pdEnteredAt_);
+    a.u64(self.pdExitReadyAt_);
+    auto &e = self.energy_;
+    a.u64(e.activates);
+    a.u64(e.reads);
+    a.u64(e.writes);
+    a.u64(e.suppressedActs);
+    a.u64(e.suppressedCas);
+    a.u64(e.refreshes);
+    a.u64(e.cyclesActive);
+    a.u64(e.cyclesPrecharge);
+    a.u64(e.cyclesPowerDown);
+    a.u64(e.cyclesRefreshing);
+    if constexpr (Ar::kLoading) {
+        self.openBanks_ = 0;
+        for (const Bank &b : self.banks_)
+            self.openBanks_ += b.isOpen();
+    }
 }
 
-void
-Rank::restoreState(Deserializer &d)
-{
-    d.section("rank");
-    openBanks_ = 0;
-    for (auto &b : banks_) {
-        b.restoreState(d);
-        openBanks_ += b.isOpen();
-    }
-    nextActRrd_ = d.getU64();
-    const uint64_t acts = d.getU64();
-    actWindow_.clear();
-    for (uint64_t i = 0; i < acts; ++i)
-        actWindow_.push(d.getU64());
-    nextRead_ = d.getU64();
-    nextWrite_ = d.getU64();
-    refreshEnd_ = d.getU64();
-    poweredDown_ = d.getBool();
-    pdEnteredAt_ = d.getU64();
-    pdExitReadyAt_ = d.getU64();
-    energy_.activates = d.getU64();
-    energy_.reads = d.getU64();
-    energy_.writes = d.getU64();
-    energy_.suppressedActs = d.getU64();
-    energy_.suppressedCas = d.getU64();
-    energy_.refreshes = d.getU64();
-    energy_.cyclesActive = d.getU64();
-    energy_.cyclesPrecharge = d.getU64();
-    energy_.cyclesPowerDown = d.getU64();
-    energy_.cyclesRefreshing = d.getU64();
-}
+template void Rank::transfer(const Rank &, Serializer &);
+template void Rank::transfer(Rank &, Deserializer &);
 
 Rank::Rank(unsigned banks, const TimingParams &tp)
     : tp_(tp), banks_(banks)

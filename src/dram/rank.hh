@@ -15,11 +15,6 @@
 #include "sim/types.hh"
 #include "util/recent_ring.hh"
 
-namespace memsec {
-class Serializer;
-class Deserializer;
-} // namespace memsec
-
 namespace memsec::dram {
 
 /** Power state of a rank (for the energy model). */
@@ -144,8 +139,10 @@ class Rank
     /** Current power state (derived). */
     PowerState powerState(Cycle now) const;
 
-    void saveState(Serializer &s) const;
-    void restoreState(Deserializer &d);
+    /** Checkpoint layout (util/serialize.hh); restoring recounts
+     *  the open banks. */
+    template <class Self, class Ar>
+    static void transfer(Self &self, Ar &a);
 
   private:
     /** Apply `op` to bank b, keeping openBanks_ in step. */

@@ -28,11 +28,6 @@
 #include "sim/types.hh"
 #include "util/recent_ring.hh"
 
-namespace memsec {
-class Serializer;
-class Deserializer;
-} // namespace memsec
-
 namespace memsec::dram {
 
 /** One detected rule violation. */
@@ -90,9 +85,10 @@ class TimingChecker
      */
     void expectRefresh(uint64_t refi) { expectedRefi_ = refi; }
 
-    /** Shadow state + violation history (config/rule table excluded). */
-    void saveState(Serializer &s) const;
-    void restoreState(Deserializer &d);
+    /** Checkpoint layout (util/serialize.hh): shadow state and
+     *  violation history; config and the rule table are excluded. */
+    template <class Self, class Ar>
+    static void transfer(Self &self, Ar &a);
 
   private:
     /** Sentinel for "no open row" (independent of Bank's). */

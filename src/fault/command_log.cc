@@ -1,49 +1,36 @@
 #include "fault/command_log.hh"
 
+#include <algorithm>
 #include <sstream>
 
 #include "util/serialize.hh"
 
 namespace memsec::fault {
 
+template <class Self, class Ar>
 void
-CommandLog::saveState(Serializer &s) const
+CommandLog::transfer(Self &self, Ar &a)
 {
-    s.section("cmdlog");
-    s.putU64(total_);
-    s.putU64(ring_.size());
-    for (const Entry &e : ring_) {
-        s.putU8(static_cast<uint8_t>(e.cmd.type));
-        s.putU32(e.cmd.rank);
-        s.putU32(e.cmd.bank);
-        s.putU32(e.cmd.row);
-        s.putU64(e.cmd.req);
-        s.putBool(e.cmd.suppressed);
-        s.putU64(e.cycle);
-    }
+    a.section("cmdlog");
+    a.u64(self.total_);
+    size_t held = 0;
+    a.seq(self.ring_, [&](auto &e) {
+        // record() fills the ring to capacity, then overwrites.
+        a.check(++held <= self.cap_, "command log larger than capacity");
+        a.enumU8(e.cmd.type, dram::CmdType::PdExit, "command type byte");
+        a.u32(e.cmd.rank);
+        a.u32(e.cmd.bank);
+        a.u32(e.cmd.row);
+        a.u64(e.cmd.req);
+        a.flag(e.cmd.suppressed);
+        a.u64(e.cycle);
+    });
+    a.check(held == std::min<uint64_t>(self.total_, self.cap_),
+            "command log size disagrees with its total");
 }
 
-void
-CommandLog::restoreState(Deserializer &d)
-{
-    d.section("cmdlog");
-    total_ = d.getU64();
-    const uint64_t n = d.getU64();
-    if (n > cap_)
-        d.fail("command log larger than capacity");
-    ring_.clear();
-    for (uint64_t i = 0; i < n; ++i) {
-        Entry e;
-        e.cmd.type = static_cast<dram::CmdType>(d.getU8());
-        e.cmd.rank = d.getU32();
-        e.cmd.bank = d.getU32();
-        e.cmd.row = d.getU32();
-        e.cmd.req = d.getU64();
-        e.cmd.suppressed = d.getBool();
-        e.cycle = d.getU64();
-        ring_.push_back(e);
-    }
-}
+template void CommandLog::transfer(const CommandLog &, Serializer &);
+template void CommandLog::transfer(CommandLog &, Deserializer &);
 
 CommandLog::CommandLog(size_t capacity) : cap_(capacity ? capacity : 1)
 {

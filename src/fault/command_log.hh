@@ -19,11 +19,6 @@
 #include "dram/command.hh"
 #include "sim/types.hh"
 
-namespace memsec {
-class Serializer;
-class Deserializer;
-} // namespace memsec
-
 namespace memsec::fault {
 
 /** Fixed-capacity history of (command, issue cycle) pairs. */
@@ -49,8 +44,9 @@ class CommandLog
     /** Human-readable dump, oldest to newest. */
     std::string snapshot() const;
 
-    void saveState(Serializer &s) const;
-    void restoreState(Deserializer &d);
+    /** Checkpoint layout (util/serialize.hh). */
+    template <class Self, class Ar>
+    static void transfer(Self &self, Ar &a);
 
   private:
     struct Entry

@@ -371,26 +371,4 @@ FaultInjector::corruptSnapshotBytes(std::string &bytes)
     }
 }
 
-void
-FaultInjector::saveState(Serializer &s) const
-{
-    s.section("fault");
-    uint64_t state[4];
-    rng_.getState(state);
-    for (uint64_t w : state)
-        s.putU64(w);
-    s.putU64(injected_);
-}
-
-void
-FaultInjector::restoreState(Deserializer &d)
-{
-    d.section("fault");
-    uint64_t state[4];
-    for (uint64_t &w : state)
-        w = d.getU64();
-    rng_.setState(state);
-    injected_ = d.getU64();
-}
-
 } // namespace memsec::fault

@@ -32,8 +32,6 @@
 
 namespace memsec {
 class Config;
-class Serializer;
-class Deserializer;
 } // namespace memsec
 
 namespace memsec::fault {
@@ -162,8 +160,14 @@ class FaultInjector
     uint64_t injected() const { return injected_; }
 
     /** Checkpoint the PRNG stream and injection count. */
-    void saveState(Serializer &s) const;
-    void restoreState(Deserializer &d);
+    template <class Self, class Ar>
+    static void
+    transfer(Self &self, Ar &a)
+    {
+        a.section("fault");
+        a.nested(self.rng_);
+        a.u64(self.injected_);
+    }
 
   private:
     /** Window + rate gate; advances the PRNG when in-window. */

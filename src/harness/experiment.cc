@@ -803,39 +803,36 @@ ExperimentSystem::injector()
     return *impl_->injector;
 }
 
+template <class Self, class Ar>
 void
-ExperimentSystem::saveState(Serializer &s) const
+ExperimentSystem::transfer(Self &self, Ar &a)
 {
-    const Impl &im = *impl_;
-    s.section("experiment");
-    s.putBool(im.measurementBegun);
-    im.injector->saveState(s);
-    im.report.saveState(s);
+    Impl &im = *self.impl_;
+    a.section("experiment");
+    a.flag(im.measurementBegun);
+    a.nested(*im.injector);
+    a.nested(im.report);
     // Per-controller fault plumbing and shard count are functions of
     // the Config, and snapshots are fingerprint-bound to the Config,
     // so the element counts need no encoding.
-    for (const auto &inj : im.mcInjectors)
-        inj->saveState(s);
-    for (const auto &rep : im.mcReports)
-        rep.saveState(s);
-    for (const auto &sm : im.sims)
-        sm->saveState(s);
+    for (auto &inj : im.mcInjectors)
+        a.nested(*inj);
+    for (auto &rep : im.mcReports)
+        a.nested(rep);
+    for (auto &sm : im.sims)
+        a.nested(*sm);
+}
+
+void
+ExperimentSystem::saveState(Serializer &s) const
+{
+    transfer(*this, s);
 }
 
 void
 ExperimentSystem::restoreState(Deserializer &d)
 {
-    Impl &im = *impl_;
-    d.section("experiment");
-    im.measurementBegun = d.getBool();
-    im.injector->restoreState(d);
-    im.report.restoreState(d);
-    for (auto &inj : im.mcInjectors)
-        inj->restoreState(d);
-    for (auto &rep : im.mcReports)
-        rep.restoreState(d);
-    for (auto &sm : im.sims)
-        sm->restoreState(d);
+    transfer(*this, d);
     if (!d.atEnd())
         d.fail("trailing bytes after experiment state");
 }
@@ -1065,144 +1062,75 @@ runExperiment(const Config &cfg)
     return res;
 }
 
+namespace {
+
+/** The journal-entry layout (util/serialize.hh). */
+template <class R, class Ar>
+void
+transferResult(R &r, Ar &a)
+{
+    a.section("result");
+    a.str(r.scheme);
+    a.str(r.workload);
+    a.u32(r.cores);
+    a.u64(r.cyclesRun);
+    a.seq(r.ipc, [&](auto &v) { a.f64(v); });
+    a.f64(r.meanReadLatency);
+    a.f64(r.effectiveBandwidth);
+    a.f64(r.dummyFraction);
+    a.f64(r.rowHitRate);
+    a.f64(r.energy.backgroundNj);
+    a.f64(r.energy.activateNj);
+    a.f64(r.energy.readWriteNj);
+    a.f64(r.energy.refreshNj);
+    a.u64(r.prefetchIssued);
+    a.u64(r.prefetchUseful);
+    a.u64(r.demandReads);
+    a.seq(r.timelines, [&](auto &tl) { a.nested(tl); });
+    a.u64(r.faultsInjected);
+    a.u64(r.timingViolations);
+    a.u64(r.illegalIssues);
+    a.map(r.violationRules, [&](auto &rule, auto &count) {
+        a.str(rule);
+        a.u64(count);
+    });
+    a.seq(r.simErrors, [&](auto &e) { a.nested(e); });
+    a.u64(r.cyclesExecuted);
+    a.u64(r.cyclesSkipped);
+    a.u64(r.compiledCommands);
+    a.u64(r.compiledFallbacks);
+    a.flag(r.resumedFromSnapshot);
+    a.u32(r.effectiveChannels);
+    a.flag(r.geometryOverridden);
+    a.u32(r.shards);
+    // Each histogram carries its bin layout ahead of its contents.
+    a.seq(r.domainReadLatency, [&](auto &h) {
+        double lo = h.lo();
+        double width = h.binWidth();
+        uint64_t bins = h.bins().size();
+        a.f64(lo);
+        a.f64(width);
+        a.length(bins);
+        a.check(width > 0.0 && bins > 0, "histogram bin layout out of range");
+        if constexpr (Ar::kLoading)
+            h.init(lo, width, bins);
+        a.nested(h);
+    });
+}
+
+} // namespace
+
 void
 serializeResult(Serializer &s, const ExperimentResult &r)
 {
-    s.section("result");
-    s.putString(r.scheme);
-    s.putString(r.workload);
-    s.putU32(r.cores);
-    s.putU64(r.cyclesRun);
-    s.putU64(r.ipc.size());
-    for (double v : r.ipc)
-        s.putDouble(v);
-    s.putDouble(r.meanReadLatency);
-    s.putDouble(r.effectiveBandwidth);
-    s.putDouble(r.dummyFraction);
-    s.putDouble(r.rowHitRate);
-    s.putDouble(r.energy.backgroundNj);
-    s.putDouble(r.energy.activateNj);
-    s.putDouble(r.energy.readWriteNj);
-    s.putDouble(r.energy.refreshNj);
-    s.putU64(r.prefetchIssued);
-    s.putU64(r.prefetchUseful);
-    s.putU64(r.demandReads);
-    s.putU64(r.timelines.size());
-    for (const auto &tl : r.timelines) {
-        s.putU64(tl.service.size());
-        for (const auto &ev : tl.service) {
-            s.putU64(ev.ordinal);
-            s.putU64(ev.arrival);
-            s.putU64(ev.completed);
-        }
-        s.putU64(tl.progress.size());
-        for (uint64_t p : tl.progress)
-            s.putU64(p);
-    }
-    s.putU64(r.faultsInjected);
-    s.putU64(r.timingViolations);
-    s.putU64(r.illegalIssues);
-    s.putU64(r.violationRules.size());
-    for (const auto &kv : r.violationRules) {
-        s.putString(kv.first);
-        s.putU64(kv.second);
-    }
-    s.putU64(r.simErrors.size());
-    for (const auto &e : r.simErrors) {
-        s.putU64(e.cycle);
-        s.putString(e.category);
-        s.putString(e.message);
-    }
-    s.putU64(r.cyclesExecuted);
-    s.putU64(r.cyclesSkipped);
-    s.putU64(r.compiledCommands);
-    s.putU64(r.compiledFallbacks);
-    s.putBool(r.resumedFromSnapshot);
-    s.putU32(r.effectiveChannels);
-    s.putBool(r.geometryOverridden);
-    s.putU32(r.shards);
-    s.putU64(r.domainReadLatency.size());
-    for (const auto &h : r.domainReadLatency) {
-        s.putDouble(h.lo());
-        s.putDouble(h.binWidth());
-        s.putU64(h.bins().size());
-        h.saveState(s);
-    }
+    transferResult(r, s);
 }
 
 ExperimentResult
 deserializeResult(Deserializer &d)
 {
-    d.section("result");
     ExperimentResult r;
-    r.scheme = d.getString();
-    r.workload = d.getString();
-    r.cores = d.getU32();
-    r.cyclesRun = d.getU64();
-    const uint64_t nIpc = d.getU64();
-    for (uint64_t i = 0; i < nIpc; ++i)
-        r.ipc.push_back(d.getDouble());
-    r.meanReadLatency = d.getDouble();
-    r.effectiveBandwidth = d.getDouble();
-    r.dummyFraction = d.getDouble();
-    r.rowHitRate = d.getDouble();
-    r.energy.backgroundNj = d.getDouble();
-    r.energy.activateNj = d.getDouble();
-    r.energy.readWriteNj = d.getDouble();
-    r.energy.refreshNj = d.getDouble();
-    r.prefetchIssued = d.getU64();
-    r.prefetchUseful = d.getU64();
-    r.demandReads = d.getU64();
-    const uint64_t nTl = d.getU64();
-    for (uint64_t t = 0; t < nTl; ++t) {
-        core::VictimTimeline tl;
-        const uint64_t nEv = d.getU64();
-        for (uint64_t i = 0; i < nEv; ++i) {
-            core::ServiceEvent ev;
-            ev.ordinal = d.getU64();
-            ev.arrival = d.getU64();
-            ev.completed = d.getU64();
-            tl.service.push_back(ev);
-        }
-        const uint64_t nPr = d.getU64();
-        for (uint64_t i = 0; i < nPr; ++i)
-            tl.progress.push_back(d.getU64());
-        r.timelines.push_back(std::move(tl));
-    }
-    r.faultsInjected = d.getU64();
-    r.timingViolations = d.getU64();
-    r.illegalIssues = d.getU64();
-    const uint64_t nRules = d.getU64();
-    for (uint64_t i = 0; i < nRules; ++i) {
-        const std::string rule = d.getString();
-        r.violationRules[rule] = d.getU64();
-    }
-    const uint64_t nErr = d.getU64();
-    for (uint64_t i = 0; i < nErr; ++i) {
-        SimError e;
-        e.cycle = d.getU64();
-        e.category = d.getString();
-        e.message = d.getString();
-        r.simErrors.push_back(std::move(e));
-    }
-    r.cyclesExecuted = d.getU64();
-    r.cyclesSkipped = d.getU64();
-    r.compiledCommands = d.getU64();
-    r.compiledFallbacks = d.getU64();
-    r.resumedFromSnapshot = d.getBool();
-    r.effectiveChannels = d.getU32();
-    r.geometryOverridden = d.getBool();
-    r.shards = d.getU32();
-    const uint64_t nHist = d.getU64();
-    for (uint64_t i = 0; i < nHist; ++i) {
-        Histogram h;
-        const double lo = d.getDouble();
-        const double width = d.getDouble();
-        const uint64_t nbins = d.getU64();
-        h.init(lo, width, static_cast<size_t>(nbins));
-        h.restoreState(d);
-        r.domainReadLatency.push_back(std::move(h));
-    }
+    transferResult(r, d);
     return r;
 }
 

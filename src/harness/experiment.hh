@@ -180,6 +180,10 @@ class ExperimentSystem
     fault::FaultInjector &injector();
 
   private:
+    /** Layout behind saveState()/restoreState() (util/serialize.hh). */
+    template <class Self, class Ar>
+    static void transfer(Self &self, Ar &a);
+
     struct Impl;
     std::unique_ptr<Impl> impl_;
 };

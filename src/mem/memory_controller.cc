@@ -317,116 +317,107 @@ MemoryController::fastForward(Cycle from, Cycle to)
     dram_.fastForwardEnergy(from, to);
 }
 
+template <class Ar, class Ptr>
+void
+MemoryController::transferRequest(Ar &a, Ptr &req) const
+{
+    if constexpr (Ar::kLoading)
+        req = std::make_unique<MemRequest>();
+    MemRequest &r = *req;
+    const dram::Geometry &geo = dram_.geometry();
+    a.u64(r.id);
+    a.u32(r.domain);
+    a.check(r.domain < numDomains(), "request domain out of range");
+    a.enumU8(r.type, ReqType::Dummy, "request type");
+    a.u64(r.addr);
+    a.u32(r.loc.channel);
+    a.u32(r.loc.rank);
+    a.u32(r.loc.bank);
+    a.u32(r.loc.row);
+    a.u32(r.loc.col);
+    a.check(r.loc.channel < geo.channels &&
+                r.loc.rank < geo.ranksPerChannel &&
+                r.loc.bank < geo.banksPerRank &&
+                r.loc.row < geo.rowsPerBank && r.loc.col < geo.colsPerRow,
+            "request location outside the controller's geometry");
+    a.u64(r.arrival);
+    a.u64(r.firstCommand);
+    a.u64(r.completed);
+    a.u64(r.issued);
+    bool hasClient = r.client != nullptr;
+    a.flag(hasClient);
+    if constexpr (Ar::kLoading)
+        r.client = hasClient ? clientFor(r.domain) : nullptr;
+}
+
+template void MemoryController::transferRequest(
+    Serializer &, const std::unique_ptr<MemRequest> &) const;
+template void MemoryController::transferRequest(
+    Deserializer &, std::unique_ptr<MemRequest> &) const;
+
+template <class Self, class Ar>
+void
+MemoryController::transfer(Self &self, Ar &a)
+{
+    const auto request = [&](auto &req) { self.transferRequest(a, req); };
+    a.section("mc");
+    a.nested(self.dram_);
+    a.fixed(self.queues_, "transaction queue count mismatch",
+            [&](auto &q) { TransactionQueue::transfer(q, a, self); });
+    a.fixed(self.prefetchQueues_, "prefetch queue count mismatch",
+            [&](auto &pq) { a.seq(pq, request); });
+    // The completion heap is not in delivery order: it travels sorted
+    // by (at, seq) and is re-heaped on restore.
+    const auto completion = [&](auto &pc) {
+        a.u64(pc.at);
+        a.u64(pc.seq);
+        request(pc.req);
+    };
+    if constexpr (Ar::kLoading) {
+        a.seq(self.completions_, completion);
+        std::make_heap(self.completions_.begin(), self.completions_.end(),
+                       std::greater<>());
+    } else {
+        std::vector<const PendingCompletion *> sorted;
+        sorted.reserve(self.completions_.size());
+        for (const PendingCompletion &pc : self.completions_)
+            sorted.push_back(&pc);
+        std::sort(sorted.begin(), sorted.end(),
+                  [](const PendingCompletion *x,
+                     const PendingCompletion *y) { return *y > *x; });
+        a.seq(sorted, [&](const PendingCompletion *pc) { completion(*pc); });
+    }
+    a.u64(self.completionSeq_);
+    a.u64(self.reqIdSeq_);
+    auto &st = self.stats_;
+    a.nested(st.demandReads);
+    a.nested(st.writes);
+    a.nested(st.prefetches);
+    a.nested(st.dummies);
+    a.nested(st.forwarded);
+    a.nested(st.mergedWrites);
+    a.nested(st.mergedWithPrefetch);
+    a.nested(st.realBursts);
+    a.nested(st.dummyBursts);
+    a.nested(st.overflowDrops);
+    a.nested(st.readLatency);
+    a.nested(st.readLatencyHist);
+    a.fixed(st.domainReadLatency, "domain latency histogram count mismatch",
+            [&](auto &h) { a.nested(h); });
+    panic_if(!self.sched_, "checkpoint without a scheduler");
+    a.nested(*self.sched_);
+}
+
 void
 MemoryController::saveState(Serializer &s) const
 {
-    s.section("mc");
-    dram_.saveState(s);
-    s.putU64(queues_.size());
-    for (const TransactionQueue &q : queues_)
-        q.saveState(s);
-    s.putU64(prefetchQueues_.size());
-    for (const auto &pq : prefetchQueues_) {
-        s.putU64(pq.size());
-        for (const auto &req : pq)
-            serializeRequest(s, *req);
-    }
-    // The heap is not in delivery order: walk it sorted by (at, seq).
-    std::vector<const PendingCompletion *> pending;
-    pending.reserve(completions_.size());
-    for (const PendingCompletion &pc : completions_)
-        pending.push_back(&pc);
-    std::sort(pending.begin(), pending.end(),
-              [](const PendingCompletion *a, const PendingCompletion *b) {
-                  return *b > *a;
-              });
-    s.putU64(pending.size());
-    for (const PendingCompletion *pc : pending) {
-        s.putU64(pc->at);
-        s.putU64(pc->seq);
-        serializeRequest(s, *pc->req);
-    }
-    s.putU64(completionSeq_);
-    s.putU64(reqIdSeq_);
-    stats_.demandReads.saveState(s);
-    stats_.writes.saveState(s);
-    stats_.prefetches.saveState(s);
-    stats_.dummies.saveState(s);
-    stats_.forwarded.saveState(s);
-    stats_.mergedWrites.saveState(s);
-    stats_.mergedWithPrefetch.saveState(s);
-    stats_.realBursts.saveState(s);
-    stats_.dummyBursts.saveState(s);
-    stats_.overflowDrops.saveState(s);
-    stats_.readLatency.saveState(s);
-    stats_.readLatencyHist.saveState(s);
-    s.putU64(stats_.domainReadLatency.size());
-    for (const Histogram &h : stats_.domainReadLatency)
-        h.saveState(s);
-    panic_if(!sched_, "saveState without a scheduler");
-    sched_->saveState(s);
+    transfer(*this, s);
 }
 
 void
 MemoryController::restoreState(Deserializer &d)
 {
-    d.section("mc");
-    dram_.restoreState(d);
-    if (d.getU64() != queues_.size())
-        d.fail("transaction queue count mismatch");
-    const auto clientOf = [this](const MemRequest &req) {
-        return clientFor(req.domain);
-    };
-    for (TransactionQueue &q : queues_)
-        q.restoreState(d, clientOf);
-    if (d.getU64() != prefetchQueues_.size())
-        d.fail("prefetch queue count mismatch");
-    for (auto &pq : prefetchQueues_) {
-        pq.clear();
-        const uint64_t n = d.getU64();
-        for (uint64_t i = 0; i < n; ++i) {
-            bool hadClient = false;
-            auto req = deserializeRequest(d, &hadClient);
-            if (hadClient)
-                req->client = clientOf(*req);
-            pq.push_back(std::move(req));
-        }
-    }
-    completions_.clear();
-    const uint64_t pending = d.getU64();
-    for (uint64_t i = 0; i < pending; ++i) {
-        PendingCompletion pc;
-        pc.at = d.getU64();
-        pc.seq = d.getU64();
-        bool hadClient = false;
-        auto req = deserializeRequest(d, &hadClient);
-        if (hadClient)
-            req->client = clientOf(*req);
-        pc.req = std::move(req);
-        completions_.push_back(std::move(pc));
-        std::push_heap(completions_.begin(), completions_.end(),
-                       std::greater<>());
-    }
-    completionSeq_ = d.getU64();
-    reqIdSeq_ = d.getU64();
-    stats_.demandReads.restoreState(d);
-    stats_.writes.restoreState(d);
-    stats_.prefetches.restoreState(d);
-    stats_.dummies.restoreState(d);
-    stats_.forwarded.restoreState(d);
-    stats_.mergedWrites.restoreState(d);
-    stats_.mergedWithPrefetch.restoreState(d);
-    stats_.realBursts.restoreState(d);
-    stats_.dummyBursts.restoreState(d);
-    stats_.overflowDrops.restoreState(d);
-    stats_.readLatency.restoreState(d);
-    stats_.readLatencyHist.restoreState(d);
-    if (d.getU64() != stats_.domainReadLatency.size())
-        d.fail("domain latency histogram count mismatch");
-    for (Histogram &h : stats_.domainReadLatency)
-        h.restoreState(d);
-    panic_if(!sched_, "restoreState without a scheduler");
-    sched_->restoreState(d);
+    transfer(*this, d);
 }
 
 void

@@ -11,11 +11,6 @@
 
 #include "sim/types.hh"
 
-namespace memsec {
-class Serializer;
-class Deserializer;
-} // namespace memsec
-
 namespace memsec::mem {
 
 /** Kind of transaction entering the controller. */
@@ -94,18 +89,6 @@ struct MemRequest
 
     std::string toString() const;
 };
-
-/**
- * Serialize one request. The client pointer is encoded as a presence
- * bit only; the restoring controller rebinds it to the client
- * registered for the request's domain (pointer identity cannot cross
- * a process boundary).
- */
-void serializeRequest(Serializer &s, const MemRequest &req);
-
-/** Inverse of serializeRequest; *hadClient reports the presence bit. */
-std::unique_ptr<MemRequest> deserializeRequest(Deserializer &d,
-                                               bool *hadClient);
 
 } // namespace memsec::mem
 

@@ -1,38 +1,34 @@
 #include "mem/transaction_queue.hh"
 
+#include "mem/memory_controller.hh"
+
 #include "util/logging.hh"
 #include "util/serialize.hh"
 
 namespace memsec::mem {
 
+template <class Self, class Ar>
 void
-TransactionQueue::saveState(Serializer &s) const
+TransactionQueue::transfer(Self &self, Ar &a, const MemoryController &mc)
 {
-    s.section("txq");
-    s.putU64(entries_.size());
-    for (const auto &e : entries_)
-        serializeRequest(s, *e);
+    a.section("txq");
+    size_t reads = 0;
+    size_t writes = 0;
+    a.seq(self.entries_, [&](auto &req) {
+        mc.transferRequest(a, req);
+        ++(req->isRead() ? reads : writes);
+        a.check(reads <= self.readCap_ && writes <= self.writeCap_,
+                "transaction queue holds more than its capacity");
+    });
+    if constexpr (Ar::kLoading)
+        self.reads_ = reads;
 }
 
-void
-TransactionQueue::restoreState(
-    Deserializer &d,
-    const std::function<MemClient *(const MemRequest &)> &clientOf)
-{
-    d.section("txq");
-    const uint64_t n = d.getU64();
-    entries_.clear();
-    reads_ = 0;
-    for (uint64_t i = 0; i < n; ++i) {
-        bool hadClient = false;
-        auto req = deserializeRequest(d, &hadClient);
-        if (hadClient)
-            req->client = clientOf(*req);
-        if (req->isRead())
-            ++reads_;
-        entries_.push_back(std::move(req));
-    }
-}
+template void TransactionQueue::transfer(const TransactionQueue &,
+                                         Serializer &,
+                                         const MemoryController &);
+template void TransactionQueue::transfer(TransactionQueue &, Deserializer &,
+                                         const MemoryController &);
 
 TransactionQueue::TransactionQueue(size_t readCapacity,
                                    size_t writeCapacity)

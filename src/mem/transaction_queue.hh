@@ -20,6 +20,8 @@
 
 namespace memsec::mem {
 
+class MemoryController;
+
 /**
  * FIFO of pending transactions with predicate-based extraction.
  * Reads and writes have separate capacity budgets (the physical
@@ -82,16 +84,13 @@ class TransactionQueue
     /** True if a queued entry of any type covers the line. */
     bool hasEntryFor(Addr lineAddr) const;
 
-    void saveState(Serializer &s) const;
-
     /**
-     * Restore entries; `clientOf` maps each restored request (by
-     * domain) back to a live completion sink for requests that had a
-     * client when saved.
+     * Checkpoint layout (util/serialize.hh): the entries, each through
+     * `mc.transferRequest`. Restoring rejects a queue holding more
+     * reads or writes than its capacity as "snapshot-corrupt".
      */
-    void restoreState(
-        Deserializer &d,
-        const std::function<MemClient *(const MemRequest &)> &clientOf);
+    template <class Self, class Ar>
+    static void transfer(Self &self, Ar &a, const MemoryController &mc);
 
   private:
     size_t readCap_ = 0;

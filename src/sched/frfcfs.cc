@@ -290,53 +290,44 @@ FrFcfsScheduler::registerStats(StatGroup &group) const
         "precharges forced by a conflicting open row");
 }
 
+template <class Self, class Ar>
 void
-FrFcfsEngine::saveState(Serializer &s) const
+FrFcfsEngine::transfer(Self &self, Ar &a)
 {
-    s.section("frfcfs-engine");
-    s.putBool(drainingWrites_);
-    s.putU64(utilWindowStart_);
-    s.putU64(utilWindowBusy_);
-    s.putBool(prefetchUtilOk_);
-    s.putU64(rowHits_);
-    s.putU64(rowMisses_);
-    s.putU64(rowConflicts_);
+    a.section("frfcfs-engine");
+    a.flag(self.drainingWrites_);
+    a.u64(self.utilWindowStart_);
+    a.u64(self.utilWindowBusy_);
+    a.flag(self.prefetchUtilOk_);
+    a.u64(self.rowHits_);
+    a.u64(self.rowMisses_);
+    a.u64(self.rowConflicts_);
 }
 
+template void FrFcfsEngine::transfer(const FrFcfsEngine &, Serializer &);
+template void FrFcfsEngine::transfer(FrFcfsEngine &, Deserializer &);
+
+template <class Self, class Ar>
 void
-FrFcfsEngine::restoreState(Deserializer &d)
+FrFcfsScheduler::transfer(Self &self, Ar &a)
 {
-    d.section("frfcfs-engine");
-    drainingWrites_ = d.getBool();
-    utilWindowStart_ = d.getU64();
-    utilWindowBusy_ = d.getU64();
-    prefetchUtilOk_ = d.getBool();
-    rowHits_ = d.getU64();
-    rowMisses_ = d.getU64();
-    rowConflicts_ = d.getU64();
+    a.section("frfcfs");
+    a.nested(self.engine_);
+    a.fixed(self.nextRefresh_, "refresh schedule size mismatch",
+            [&](auto &c) { a.u64(c); });
+    a.nested(self.refreshes_);
 }
 
 void
 FrFcfsScheduler::saveState(Serializer &s) const
 {
-    s.section("frfcfs");
-    engine_.saveState(s);
-    s.putU64(nextRefresh_.size());
-    for (Cycle c : nextRefresh_)
-        s.putU64(c);
-    refreshes_.saveState(s);
+    transfer(*this, s);
 }
 
 void
 FrFcfsScheduler::restoreState(Deserializer &d)
 {
-    d.section("frfcfs");
-    engine_.restoreState(d);
-    if (d.getU64() != nextRefresh_.size())
-        d.fail("refresh schedule size mismatch");
-    for (Cycle &c : nextRefresh_)
-        c = d.getU64();
-    refreshes_.restoreState(d);
+    transfer(*this, d);
 }
 
 } // namespace memsec::sched

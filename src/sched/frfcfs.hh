@@ -57,8 +57,9 @@ class FrFcfsEngine
     uint64_t rowMisses() const { return rowMisses_; }
     uint64_t rowConflicts() const { return rowConflicts_; }
 
-    void saveState(Serializer &s) const;
-    void restoreState(Deserializer &d);
+    /** Checkpoint layout (util/serialize.hh). */
+    template <class Self, class Ar>
+    static void transfer(Self &self, Ar &a);
 
   private:
     void issueFor(mem::MemRequest *req, bool isCas, Cycle now);
@@ -113,6 +114,10 @@ class FrFcfsScheduler : public Scheduler
     void restoreState(Deserializer &d) override;
 
   private:
+    /** Checkpoint layout (util/serialize.hh). */
+    template <class Self, class Ar>
+    static void transfer(Self &self, Ar &a);
+
     /** Progress the per-rank refresh state machine; returns true if
      *  a command (REF or a draining PRE) was issued this cycle. */
     bool serviceRefresh(Cycle now, unsigned &avoidRank);

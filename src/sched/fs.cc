@@ -477,99 +477,48 @@ FsScheduler::registerStats(StatGroup &group) const
         "fraction of issued slots that were dummies");
 }
 
+template <class Self, class Ar>
+void
+FsScheduler::transfer(Self &self, Ar &a)
+{
+    const auto u64 = [&](auto &v) { a.u64(v); };
+    a.section("fs");
+    self.transferPlan(a);
+    a.fixed(self.rankPlan_, "rank plan count mismatch", [&](auto &rp) {
+        a.u64(rp.nextRead);
+        a.u64(rp.nextWrite);
+        a.u64(rp.nextAct);
+        a.seq(rp.acts, u64);
+    });
+    a.fixed(self.lastRow_, "last-row table size mismatch",
+            [&](auto &row) { a.u32(row); });
+    a.fixed(self.domainRng_, "domain RNG count mismatch",
+            [&](auto &rng) { a.nested(rng); });
+    a.fixed(self.dummyRr_, "dummy cursor count mismatch", u64);
+    a.fixed(self.rankDownUntil_, "rank power-down count mismatch", u64);
+    a.fixed(self.pdCreditCycles_, "power-down credit count mismatch",
+            u64);
+    a.u64(self.nextRefresh_);
+    a.u32(self.refreshRankCursor_);
+    a.nested(self.realOps_);
+    a.nested(self.dummyOps_);
+    a.nested(self.prefetchOps_);
+    a.nested(self.skippedSlots_);
+    a.nested(self.hazardDeferrals_);
+    a.nested(self.boostedActs_);
+    a.nested(self.skewedOps_);
+}
+
 void
 FsScheduler::saveState(Serializer &s) const
 {
-    s.section("fs");
-    savePlan(s);
-    s.putU64(rankPlan_.size());
-    for (const RankPlan &rp : rankPlan_) {
-        s.putU64(rp.nextRead);
-        s.putU64(rp.nextWrite);
-        s.putU64(rp.nextAct);
-        s.putU64(rp.acts.size());
-        for (Cycle c : rp.acts)
-            s.putU64(c);
-    }
-    s.putU64(lastRow_.size());
-    for (unsigned r : lastRow_)
-        s.putU32(r);
-    s.putU64(domainRng_.size());
-    for (const Rng &rng : domainRng_) {
-        uint64_t st[4];
-        rng.getState(st);
-        for (uint64_t w : st)
-            s.putU64(w);
-    }
-    s.putU64(dummyRr_.size());
-    for (size_t c : dummyRr_)
-        s.putU64(c);
-    s.putU64(rankDownUntil_.size());
-    for (Cycle c : rankDownUntil_)
-        s.putU64(c);
-    s.putU64(pdCreditCycles_.size());
-    for (uint64_t c : pdCreditCycles_)
-        s.putU64(c);
-    s.putU64(nextRefresh_);
-    s.putU32(refreshRankCursor_);
-    realOps_.saveState(s);
-    dummyOps_.saveState(s);
-    prefetchOps_.saveState(s);
-    skippedSlots_.saveState(s);
-    hazardDeferrals_.saveState(s);
-    boostedActs_.saveState(s);
-    skewedOps_.saveState(s);
+    transfer(*this, s);
 }
 
 void
 FsScheduler::restoreState(Deserializer &d)
 {
-    d.section("fs");
-    restorePlan(d);
-    if (d.getU64() != rankPlan_.size())
-        d.fail("rank plan count mismatch");
-    for (RankPlan &rp : rankPlan_) {
-        rp.nextRead = d.getU64();
-        rp.nextWrite = d.getU64();
-        rp.nextAct = d.getU64();
-        const uint64_t acts = d.getU64();
-        rp.acts.clear();
-        for (uint64_t i = 0; i < acts; ++i)
-            rp.acts.push_back(d.getU64());
-    }
-    if (d.getU64() != lastRow_.size())
-        d.fail("last-row table size mismatch");
-    for (unsigned &r : lastRow_)
-        r = d.getU32();
-    if (d.getU64() != domainRng_.size())
-        d.fail("domain RNG count mismatch");
-    for (Rng &rng : domainRng_) {
-        uint64_t st[4];
-        for (uint64_t &w : st)
-            w = d.getU64();
-        rng.setState(st);
-    }
-    if (d.getU64() != dummyRr_.size())
-        d.fail("dummy cursor count mismatch");
-    for (size_t &c : dummyRr_)
-        c = d.getU64();
-    if (d.getU64() != rankDownUntil_.size())
-        d.fail("rank power-down count mismatch");
-    for (Cycle &c : rankDownUntil_)
-        c = d.getU64();
-    if (d.getU64() != pdCreditCycles_.size())
-        d.fail("power-down credit count mismatch");
-    for (uint64_t &c : pdCreditCycles_)
-        c = d.getU64();
-    nextRefresh_ = d.getU64();
-    refreshRankCursor_ = d.getU32();
-    realOps_.restoreState(d);
-    dummyOps_.restoreState(d);
-    prefetchOps_.restoreState(d);
-    skippedSlots_.restoreState(d);
-    hazardDeferrals_.restoreState(d);
-    boostedActs_.restoreState(d);
-    skewedOps_.restoreState(d);
+    transfer(*this, d);
 }
 
 } // namespace memsec::sched

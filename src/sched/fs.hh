@@ -120,6 +120,10 @@ class FsScheduler : public ReplayScheduler
     uint64_t prefetchOps() const { return prefetchOps_.value(); }
 
   private:
+    /** Checkpoint layout (util/serialize.hh). */
+    template <class Self, class Ar>
+    static void transfer(Self &self, Ar &a);
+
     /** Pick and plan the operation for slot `slot` (decided at now). */
     void decideSlot(uint64_t slot, Cycle now);
 

@@ -171,46 +171,31 @@ FsReorderedScheduler::registerStats(StatGroup &group) const
               "head-of-queue passed over for a safe transaction");
 }
 
+template <class Self, class Ar>
+void
+FsReorderedScheduler::transfer(Self &self, Ar &a)
+{
+    a.section("fs-reordered");
+    self.transferPlan(a);
+    a.fixed(self.domainRng_, "domain RNG count mismatch",
+            [&](auto &rng) { a.nested(rng); });
+    a.fixed(self.dummyRr_, "dummy cursor count mismatch",
+            [&](auto &c) { a.u64(c); });
+    a.nested(self.realOps_);
+    a.nested(self.dummyOps_);
+    a.nested(self.hazardDeferrals_);
+}
+
 void
 FsReorderedScheduler::saveState(Serializer &s) const
 {
-    s.section("fs-reordered");
-    savePlan(s);
-    s.putU64(domainRng_.size());
-    for (const Rng &rng : domainRng_) {
-        uint64_t st[4];
-        rng.getState(st);
-        for (uint64_t w : st)
-            s.putU64(w);
-    }
-    s.putU64(dummyRr_.size());
-    for (size_t c : dummyRr_)
-        s.putU64(c);
-    realOps_.saveState(s);
-    dummyOps_.saveState(s);
-    hazardDeferrals_.saveState(s);
+    transfer(*this, s);
 }
 
 void
 FsReorderedScheduler::restoreState(Deserializer &d)
 {
-    d.section("fs-reordered");
-    restorePlan(d);
-    if (d.getU64() != domainRng_.size())
-        d.fail("domain RNG count mismatch");
-    for (Rng &rng : domainRng_) {
-        uint64_t st[4];
-        for (uint64_t &w : st)
-            w = d.getU64();
-        rng.setState(st);
-    }
-    if (d.getU64() != dummyRr_.size())
-        d.fail("dummy cursor count mismatch");
-    for (size_t &c : dummyRr_)
-        c = d.getU64();
-    realOps_.restoreState(d);
-    dummyOps_.restoreState(d);
-    hazardDeferrals_.restoreState(d);
+    transfer(*this, d);
 }
 
 } // namespace memsec::sched

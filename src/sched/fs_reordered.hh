@@ -55,6 +55,10 @@ class FsReorderedScheduler : public ReplayScheduler
     void restoreState(Deserializer &d) override;
 
   private:
+    /** Checkpoint layout (util/serialize.hh). */
+    template <class Self, class Ar>
+    static void transfer(Self &self, Ar &a);
+
     void decideInterval(uint64_t interval, Cycle now);
     std::unique_ptr<mem::MemRequest> makeDummy(DomainId domain, bool write,
                                                Cycle actAt, Cycle now);

@@ -126,58 +126,39 @@ ReplayScheduler::reserveBank(unsigned rank, unsigned bank, Cycle actAt,
         std::max(actAt + tp.rc, preDone);
 }
 
+template <class Self, class Ar>
 void
-ReplayScheduler::savePlan(Serializer &s) const
+ReplayScheduler::transfer(Self &self, Ar &a)
 {
-    s.section("plan");
-    s.putU64(planned_.size());
-    for (const PlannedOp &op : planned_) {
-        s.putBool(op.req != nullptr);
-        if (op.req)
-            mem::serializeRequest(s, *op.req);
-        s.putBool(op.write);
-        s.putBool(op.dummy);
-        s.putBool(op.suppressAct);
-        s.putBool(op.suppressCas);
-        s.putU64(op.actAt);
-        s.putU64(op.casAt);
-        s.putU64(op.releaseAt);
-        s.putBool(op.actIssued);
-    }
-    s.putU64(plannedBankFree_.size());
-    for (Cycle c : plannedBankFree_)
-        s.putU64(c);
+    a.section("plan");
+    a.seq(self.planned_, [&](auto &op) {
+        bool hasReq = op.req != nullptr;
+        a.flag(hasReq);
+        if (hasReq)
+            self.mc_.transferRequest(a, op.req);
+        a.flag(op.write);
+        a.flag(op.dummy);
+        a.flag(op.suppressAct);
+        a.flag(op.suppressCas);
+        a.u64(op.actAt);
+        a.u64(op.casAt);
+        a.u64(op.releaseAt);
+        a.flag(op.actIssued);
+    });
+    a.fixed(self.plannedBankFree_, "planned bank count mismatch",
+            [&](auto &c) { a.u64(c); });
 }
 
 void
-ReplayScheduler::restorePlan(Deserializer &d)
+ReplayScheduler::transferPlan(Serializer &s) const
 {
-    d.section("plan");
-    planned_.clear();
-    const uint64_t nops = d.getU64();
-    for (uint64_t i = 0; i < nops; ++i) {
-        PlannedOp op;
-        if (d.getBool()) {
-            bool hadClient = false;
-            op.req = mem::deserializeRequest(d, &hadClient);
-            if (hadClient)
-                op.req->client = mc_.clientFor(op.req->domain);
-        }
-        op.write = d.getBool();
-        op.dummy = d.getBool();
-        op.suppressAct = d.getBool();
-        op.suppressCas = d.getBool();
-        op.actAt = d.getU64();
-        op.casAt = d.getU64();
-        op.releaseAt = d.getU64();
-        op.actIssued = d.getBool();
-        planned_.push_back(std::move(op));
-    }
-    if (d.getU64() != plannedBankFree_.size())
-        d.fail("planned bank count mismatch");
-    for (Cycle &c : plannedBankFree_)
-        c = d.getU64();
+    transfer(*this, s);
+}
 
+void
+ReplayScheduler::transferPlan(Deserializer &d)
+{
+    transfer(*this, d);
     // Replay state is derived, never serialized: rebuild the event
     // ring from the restored plan. This is what makes checkpoints
     // portable across sim.compiled modes.

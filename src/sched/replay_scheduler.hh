@@ -143,13 +143,16 @@ class ReplayScheduler : public Scheduler
     const std::deque<PlannedOp> &planned() const { return planned_; }
     const ReplayRing &ring() const { return ring_; }
 
-    /** Checkpoint the plan and the bank books (one shared layout). */
-    void savePlan(Serializer &s) const;
-
-    /** Restore them and rebuild the derived ring from the plan. */
-    void restorePlan(Deserializer &d);
+    /** Checkpoint the plan and the bank books, the layout shared by
+     *  every replay policy; restoring rebuilds the derived ring. */
+    void transferPlan(Serializer &s) const;
+    void transferPlan(Deserializer &d);
 
   private:
+    /** Layout behind transferPlan() (util/serialize.hh). */
+    template <class Self, class Ar>
+    static void transfer(Self &self, Ar &a);
+
     /** Device data end the op's CAS will report. */
     Cycle dataEnd(const PlannedOp &op) const
     {

@@ -116,10 +116,11 @@ class Scheduler
     /**
      * Serialize the policy's evolving state (planned operations,
      * per-domain RNG streams, refresh bookkeeping, counters). Every
-     * concrete policy must implement the pair; the restore obligation
-     * is the same byte-identical-continuation contract as
-     * Component::saveState. The defaults panic so a new policy cannot
-     * silently checkpoint nothing.
+     * concrete policy overrides both with one shared transfer()
+     * (util/serialize.hh); the restore obligation is the same
+     * byte-identical-continuation contract as Component::saveState.
+     * The defaults panic so a new policy cannot silently checkpoint
+     * nothing.
      */
     virtual void saveState(Serializer &s) const;
     virtual void restoreState(Deserializer &d);

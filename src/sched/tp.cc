@@ -140,24 +140,27 @@ TpScheduler::registerStats(StatGroup &group) const
               "turn slots with no eligible transaction");
 }
 
+template <class Self, class Ar>
+void
+TpScheduler::transfer(Self &self, Ar &a)
+{
+    a.section("tp");
+    self.transferPlan(a);
+    a.nested(self.turns_);
+    a.nested(self.served_);
+    a.nested(self.idleSlots_);
+}
+
 void
 TpScheduler::saveState(Serializer &s) const
 {
-    s.section("tp");
-    savePlan(s);
-    turns_.saveState(s);
-    served_.saveState(s);
-    idleSlots_.saveState(s);
+    transfer(*this, s);
 }
 
 void
 TpScheduler::restoreState(Deserializer &d)
 {
-    d.section("tp");
-    restorePlan(d);
-    turns_.restoreState(d);
-    served_.restoreState(d);
-    idleSlots_.restoreState(d);
+    transfer(*this, d);
 }
 
 } // namespace memsec::sched

@@ -70,6 +70,10 @@ class TpScheduler : public ReplayScheduler
     void restoreState(Deserializer &d) override;
 
   private:
+    /** Checkpoint layout (util/serialize.hh). */
+    template <class Self, class Ar>
+    static void transfer(Self &self, Ar &a);
+
     void decideSlot(Cycle now);
 
     Params params_;

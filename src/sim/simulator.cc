@@ -7,41 +7,25 @@
 
 namespace memsec {
 
+template <class Self, class Ar>
 void
-Simulator::saveState(Serializer &s) const
+Simulator::transfer(Self &self, Ar &a)
 {
-    s.section("simulator");
-    s.putU64(now_);
-    s.putU64(cyclesExecuted_);
-    s.putU64(cyclesSkipped_);
-    s.putU64(jumps_);
-    s.putU64(watchdogLastValue_);
-    s.putU64(watchdogLastProgress_);
-    s.putU64(components_.size());
-    for (const Component *c : components_) {
-        s.section(c->name());
-        c->saveState(s);
-    }
+    a.section("simulator");
+    a.u64(self.now_);
+    a.u64(self.cyclesExecuted_);
+    a.u64(self.cyclesSkipped_);
+    a.u64(self.jumps_);
+    a.u64(self.watchdogLastValue_);
+    a.u64(self.watchdogLastProgress_);
+    a.fixed(self.components_, "component count mismatch", [&](auto *c) {
+        a.section(c->name());
+        a.nested(*c);
+    });
 }
 
-void
-Simulator::restoreState(Deserializer &d)
-{
-    d.section("simulator");
-    now_ = d.getU64();
-    cyclesExecuted_ = d.getU64();
-    cyclesSkipped_ = d.getU64();
-    jumps_ = d.getU64();
-    watchdogLastValue_ = d.getU64();
-    watchdogLastProgress_ = d.getU64();
-    const uint64_t n = d.getU64();
-    if (n != components_.size())
-        d.fail("component count mismatch");
-    for (Component *c : components_) {
-        d.section(c->name());
-        c->restoreState(d);
-    }
-}
+template void Simulator::transfer(const Simulator &, Serializer &);
+template void Simulator::transfer(Simulator &, Deserializer &);
 
 void
 Simulator::add(Component *c)

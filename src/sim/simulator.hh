@@ -98,6 +98,9 @@ class Component
      * (tests/test_checkpoint_diff.cc). Config-derived state (slot
      * tables, pipeline solutions, geometry) is rebuilt by the
      * constructor and must not be serialized. Default: stateless.
+     * A stateful component states its layout once, in a transfer()
+     * template both overrides call (util/serialize.hh); the restore
+     * override adds only the rebuild of derived state.
      */
     virtual void
     saveState(Serializer &s) const
@@ -169,13 +172,14 @@ class Simulator
     uint64_t fastForwardJumps() const { return jumps_; }
 
     /**
-     * Serialize the kernel clock plus every registered component (in
-     * registration order, each under a section named after it).
-     * Watchdog config and the fast-forward flag are not serialized;
-     * the harness re-arms them before restoreState().
+     * Checkpoint layout (util/serialize.hh): the kernel clock plus
+     * every registered component, in registration order, each under a
+     * section named after it. Watchdog config and the fast-forward
+     * flag are not serialized; the harness re-arms them before a
+     * restore.
      */
-    void saveState(Serializer &s) const;
-    void restoreState(Deserializer &d);
+    template <class Self, class Ar>
+    static void transfer(Self &self, Ar &a);
 
   private:
     /** Per-cycle watchdog check; fatal on a stall. */

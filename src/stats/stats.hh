@@ -23,9 +23,6 @@
 
 namespace memsec {
 
-class Serializer;
-class Deserializer;
-
 /** Monotonic event counter. */
 class Counter
 {
@@ -34,8 +31,13 @@ class Counter
     uint64_t value() const { return value_; }
     void reset() { value_ = 0; }
 
-    void saveState(Serializer &s) const;
-    void restoreState(Deserializer &d);
+    /** Checkpoint layout (util/serialize.hh). */
+    template <class Self, class Ar>
+    static void
+    transfer(Self &self, Ar &a)
+    {
+        a.u64(self.value_);
+    }
 
   private:
     uint64_t value_ = 0;
@@ -49,8 +51,13 @@ class Scalar
     double value() const { return value_; }
     void reset() { value_ = 0.0; }
 
-    void saveState(Serializer &s) const;
-    void restoreState(Deserializer &d);
+    /** Checkpoint layout (util/serialize.hh). */
+    template <class Self, class Ar>
+    static void
+    transfer(Self &self, Ar &a)
+    {
+        a.f64(self.value_);
+    }
 
   private:
     double value_ = 0.0;
@@ -68,8 +75,16 @@ class Average
     double max() const;
     void reset();
 
-    void saveState(Serializer &s) const;
-    void restoreState(Deserializer &d);
+    /** Checkpoint layout (util/serialize.hh). */
+    template <class Self, class Ar>
+    static void
+    transfer(Self &self, Ar &a)
+    {
+        a.f64(self.sum_);
+        a.u64(self.count_);
+        a.f64(self.min_);
+        a.f64(self.max_);
+    }
 
   private:
     double sum_ = 0.0;
@@ -108,8 +123,17 @@ class Histogram
     void reset();
 
     /** Bin contents only; the bin layout comes from init(). */
-    void saveState(Serializer &s) const;
-    void restoreState(Deserializer &d);
+    template <class Self, class Ar>
+    static void
+    transfer(Self &self, Ar &a)
+    {
+        a.fixed(self.bins_, "histogram bin count mismatch",
+                [&](auto &b) { a.u64(b); });
+        a.u64(self.underflow_);
+        a.u64(self.overflow_);
+        a.u64(self.samples_);
+        a.f64(self.sum_);
+    }
 
   private:
     double lo_ = 0.0;

@@ -79,20 +79,6 @@ Rng::chance(double p)
     return uniform() < p;
 }
 
-void
-Rng::getState(uint64_t out[4]) const
-{
-    for (int i = 0; i < 4; ++i)
-        out[i] = s[i];
-}
-
-void
-Rng::setState(const uint64_t in[4])
-{
-    for (int i = 0; i < 4; ++i)
-        s[i] = in[i];
-}
-
 uint64_t
 Rng::geometric(double p)
 {

@@ -43,11 +43,15 @@ class Rng
     /** Geometric-ish draw: number of failures before success(p). */
     uint64_t geometric(double p);
 
-    /** Copy the raw 256-bit state out (snapshot support). */
-    void getState(uint64_t out[4]) const;
-
-    /** Restore state previously captured with getState(). */
-    void setState(const uint64_t in[4]);
+    /** Checkpoint layout (util/serialize.hh): the raw 256-bit
+     *  state. */
+    template <class Self, class Ar>
+    static void
+    transfer(Self &self, Ar &a)
+    {
+        for (auto &w : self.s)
+            a.u64(w);
+    }
 
   private:
     uint64_t s[4];

@@ -24,6 +24,8 @@ class RecentRing
     static_assert(N > 0, "RecentRing needs room for one value");
 
   public:
+    using value_type = T;
+
     size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
 

@@ -67,6 +67,19 @@ Deserializer::fail(const std::string &message) const
     throw SerializeError{pos_, "snapshot-corrupt", message};
 }
 
+void
+Deserializer::length(uint64_t &n)
+{
+    const uint64_t at = pos_;
+    n = getU64();
+    if (n > remaining()) {
+        throw SerializeError{
+            at, "snapshot-truncate",
+            "length " + std::to_string(n) + " exceeds the " +
+                std::to_string(remaining()) + " bytes left"};
+    }
+}
+
 uint8_t
 Deserializer::getU8()
 {

@@ -13,15 +13,44 @@
  * Scalar encodings are fixed-width little-endian regardless of host
  * byte order; doubles are stored as their IEEE-754 bit pattern so a
  * restore round-trips hexfloat-exactly.
+ *
+ * Layouts are stated once. Serializer and Deserializer share a set of
+ * same-named transfer operations, so each checkpointed type writes one
+ * function template over the archive,
+ *
+ *     template <class Self, class Ar>
+ *     static void transfer(Self &self, Ar &a);
+ *
+ * instantiated as (const T, Serializer) to save and (T, Deserializer)
+ * to restore. The operations are:
+ *  - fields: u32, u64, i64, flag, f64, str, and enumU8 (a
+ *    one-byte enum, range-checked on restore);
+ *  - counts: count(n, what), a size fixed by the config that restore
+ *    verifies, and length(n), a size read back before the elements it
+ *    counts (restore rejects one the remaining bytes cannot hold);
+ *  - sequences: fixed(c, what, each) over a config-sized container
+ *    restored in place, seq(c, each) over a variable-length one
+ *    (restore clears it and appends default-constructed elements),
+ *    and map(m, each) over key/value pairs;
+ *  - nested(x): x's own transfer(), or its virtual saveState /
+ *    restoreState for polymorphic components;
+ *  - section(tag): a named layout check; restore fails at the first
+ *    marker that does not match;
+ *  - check(cond, what): restore-only validation, failing as
+ *    "snapshot-corrupt" at the current offset; a no-op when saving.
+ * `Ar::kLoading` guards the rest of the restore-only work (rebuilding
+ * derived state) inside a transfer.
  */
 
 #ifndef MEMSEC_UTIL_SERIALIZE_HH
 #define MEMSEC_UTIL_SERIALIZE_HH
 
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 
 namespace memsec {
 
@@ -52,6 +81,55 @@ struct SerializeError
 class Serializer
 {
   public:
+    static constexpr bool kLoading = false;
+
+    // ---- transfer operations (file comment) ----
+    void u32(uint32_t v) { putU32(v); }
+    void u64(uint64_t v) { putU64(v); }
+    void i64(int64_t v) { putI64(v); }
+    void flag(bool v) { putBool(v); }
+    void f64(double v) { putDouble(v); }
+    void str(std::string_view v) { putString(v); }
+    template <class E>
+    void enumU8(E v, E, const char *) { putU8(static_cast<uint8_t>(v)); }
+    void length(uint64_t n) { putU64(n); }
+    void count(uint64_t n, const char *) { putU64(n); }
+    void check(bool, const char *) {}
+    template <class C, class F>
+    void
+    fixed(const C &c, const char *what, F &&each)
+    {
+        count(c.size(), what);
+        for (size_t i = 0; i < c.size(); ++i)
+            each(c[i]);
+    }
+    template <class C, class F>
+    void
+    seq(const C &c, F &&each)
+    {
+        length(c.size());
+        for (size_t i = 0; i < c.size(); ++i)
+            each(c[i]);
+    }
+    template <class M, class F>
+    void
+    map(const M &m, F &&each)
+    {
+        length(m.size());
+        for (const auto &[k, v] : m)
+            each(k, v);
+    }
+    template <class T>
+    void
+    nested(const T &x)
+    {
+        if constexpr (requires { T::transfer(x, *this); })
+            T::transfer(x, *this);
+        else
+            x.saveState(*this);
+    }
+
+    // ---- raw encoding ----
     void putU8(uint8_t v) { buf_.push_back(static_cast<char>(v)); }
     void putU32(uint32_t v);
     void putU64(uint64_t v);
@@ -63,10 +141,11 @@ class Serializer
     void putString(std::string_view v);
 
     /**
-     * Emit a named section marker. The matching Deserializer::section
-     * call verifies it, so a reader/writer mismatch fails loudly at
-     * the boundary that drifted instead of silently mis-decoding
-     * everything after it.
+     * Emit a named section marker, a layout check: the matching
+     * Deserializer::section call verifies it, so bytes laid out
+     * differently (damage, or a layout change made without a
+     * kSnapshotVersion bump) fail at the first boundary that differs
+     * instead of silently mis-decoding everything after it.
      */
     void section(std::string_view tag) { putString(tag); }
 
@@ -82,7 +161,94 @@ class Serializer
 class Deserializer
 {
   public:
+    static constexpr bool kLoading = true;
+
     explicit Deserializer(std::string_view data) : data_(data) {}
+
+    // ---- transfer operations (file comment) ----
+    template <std::integral T>
+    void u32(T &v) { v = static_cast<T>(getU32()); }
+    template <std::integral T>
+    void u64(T &v) { v = static_cast<T>(getU64()); }
+    template <std::integral T>
+    void i64(T &v) { v = static_cast<T>(getI64()); }
+    void flag(bool &v) { v = getBool(); }
+    void f64(double &v) { v = getDouble(); }
+    void str(std::string &v) { v = getString(); }
+    template <class E>
+    void
+    enumU8(E &v, E last, const char *what)
+    {
+        const uint8_t b = getU8();
+        if (b > static_cast<uint8_t>(last))
+            fail(std::string(what) + " out of range: " +
+                 std::to_string(b));
+        v = static_cast<E>(b);
+    }
+    /** Every element takes at least one byte, so a length the rest of
+     *  the input cannot hold is a truncation (and never allocates). */
+    void length(uint64_t &n);
+    void
+    count(uint64_t n, const char *what)
+    {
+        if (getU64() != n)
+            fail(what);
+    }
+    void
+    check(bool ok, const char *what)
+    {
+        if (!ok)
+            fail(what);
+    }
+    template <class C, class F>
+    void
+    fixed(C &c, const char *what, F &&each)
+    {
+        count(c.size(), what);
+        for (auto &e : c)
+            each(e);
+    }
+    template <class C, class F>
+    void
+    seq(C &c, F &&each)
+    {
+        uint64_t n = 0;
+        length(n);
+        c.clear();
+        for (uint64_t i = 0; i < n; ++i) {
+            typename C::value_type e{};
+            each(e);
+            if constexpr (requires { c.push_back(std::move(e)); })
+                c.push_back(std::move(e));
+            else
+                c.push(e);
+        }
+    }
+    template <class M, class F>
+    void
+    map(M &m, F &&each)
+    {
+        uint64_t n = 0;
+        length(n);
+        m.clear();
+        for (uint64_t i = 0; i < n; ++i) {
+            typename M::key_type k{};
+            typename M::mapped_type v{};
+            each(k, v);
+            m[std::move(k)] = std::move(v);
+        }
+    }
+    template <class T>
+    void
+    nested(T &x)
+    {
+        if constexpr (requires { T::transfer(x, *this); })
+            T::transfer(x, *this);
+        else
+            x.restoreState(*this);
+    }
+
+    // ---- raw decoding ----
 
     uint8_t getU8();
     uint32_t getU32();

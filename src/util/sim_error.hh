@@ -23,9 +23,6 @@
 
 namespace memsec {
 
-class Serializer;
-class Deserializer;
-
 /** One recoverable fault observed during a run. */
 struct SimError
 {
@@ -34,6 +31,17 @@ struct SimError
     std::string message;
 
     std::string toString() const;
+
+    /** Checkpoint layout (util/serialize.hh), shared by RunReport
+     *  and the campaign journal. */
+    template <class Self, class Ar>
+    static void
+    transfer(Self &self, Ar &a)
+    {
+        a.u64(self.cycle);
+        a.str(self.category);
+        a.str(self.message);
+    }
 };
 
 /**
@@ -70,8 +78,18 @@ class RunReport
     std::string summary() const;
 
     /** Checkpoint recorded errors (they feed the result digest). */
-    void saveState(Serializer &s) const;
-    void restoreState(Deserializer &d);
+    template <class Self, class Ar>
+    static void
+    transfer(Self &self, Ar &a)
+    {
+        a.section("report");
+        a.seq(self.errors_, [&](auto &e) { a.nested(e); });
+        a.map(self.counts_, [&](auto &category, auto &count) {
+            a.str(category);
+            a.u64(count);
+        });
+        a.u64(self.total_);
+    }
 
   private:
     size_t cap_ = 0;

@@ -113,8 +113,8 @@ class PlanOnly final : public sched::ReplayScheduler
 
     void tick(Cycle now) override { applyUpTo(now); }
     std::string name() const override { return "plan-only"; }
-    void saveState(Serializer &s) const override { savePlan(s); }
-    void restoreState(Deserializer &d) override { restorePlan(d); }
+    void saveState(Serializer &s) const override { transferPlan(s); }
+    void restoreState(Deserializer &d) override { transferPlan(d); }
 
     using ReplayScheduler::bankFree;
     using ReplayScheduler::plan;
