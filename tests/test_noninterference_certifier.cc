@@ -162,7 +162,8 @@ TEST(Certifier, LeakyToySchedulerYieldsWitness)
 
 TEST(Certifier, SummaryNamesSchedulerAndVerdict)
 {
-    const PaperCertPoint &p = paperCertPoints().front();
+    // By value: paperCertPoints() returns a temporary vector.
+    const PaperCertPoint p = paperCertPoints().front();
     const CertifyResult res = NoninterferenceCertifier(p.cfg).certify();
     const std::string s = res.summary();
     EXPECT_NE(s.find(res.scheduler), std::string::npos) << s;
