@@ -1,8 +1,10 @@
 #include "cpu/trace.hh"
 
 #include <algorithm>
+#include <cmath>
 
 #include "leakage/secret.hh"
+#include "util/bitops.hh"
 #include "util/logging.hh"
 #include "util/serialize.hh"
 
@@ -33,34 +35,34 @@ SyntheticTraceGenerator::SyntheticTraceGenerator(
     // collide bank-for-bank.
     for (unsigned s = 0; s < streams; ++s)
         streamPos_.push_back(rng_.below(profile.footprintLines));
-    recent_.assign(64, 0);
 }
 
 Addr
 SyntheticTraceGenerator::pickLine()
 {
+    // Each `%` of a power of two is taken as a mask (fastMod): the
+    // same value, so the same stream.
     const uint64_t fp = profile_.footprintLines;
 
-    if (!recent_.empty() && rng_.chance(profile_.reuseFraction)) {
+    if (rng_.chance(profile_.reuseFraction)) {
         // Temporal reuse of a recently touched line.
-        return recent_[rng_.below(recent_.size())];
+        return recent_[rng_.next() & (kRecentLines - 1)];
     }
 
     uint64_t line;
     if (rng_.chance(profile_.streamFraction)) {
-        const unsigned s = streamRr_++ % streamPos_.size();
-        streamPos_[s] =
-            (streamPos_[s] + profile_.strideLines) % fp;
+        const size_t s = fastMod(streamRr_++, streamPos_.size());
+        streamPos_[s] = fastMod(streamPos_[s] + profile_.strideLines, fp);
         line = streamPos_[s];
     } else {
-        line = rng_.below(fp);
+        line = fastMod(rng_.next(), fp);
     }
-    recent_[recentIdx_++ % recent_.size()] = line * kLineBytes;
+    recent_[recentIdx_++ & (kRecentLines - 1)] = line * kLineBytes;
     return line * kLineBytes;
 }
 
-TraceRecord
-SyntheticTraceGenerator::next()
+double
+SyntheticTraceGenerator::nextRatio()
 {
     double ratio = profile_.memRatio;
     if (!modSecret_.empty()) {
@@ -86,12 +88,41 @@ SyntheticTraceGenerator::next()
                             : profile_.phaseLowFactor;
         ratio = std::min(0.95, std::max(1e-6, ratio));
     }
+    return ratio;
+}
 
-    TraceRecord rec;
-    rec.gap = static_cast<uint32_t>(
-        std::min<uint64_t>(rng_.geometric(ratio), 1u << 20));
+void
+SyntheticTraceGenerator::drawAccess(TraceRecord &rec)
+{
     rec.isStore = rng_.chance(profile_.storeFraction);
     rec.addr = pickLine();
+}
+
+TraceRecord
+SyntheticTraceGenerator::next()
+{
+    const double ratio = nextRatio();
+    TraceRecord rec;
+    // rng_.geometric(ratio), with the logarithm of the failure
+    // probability kept across records of one ratio.
+    if (ratio < 1.0) {
+        if (ratio != gapRatio_) {
+            gapRatio_ = ratio;
+            gapLogFail_ = std::log(1.0 - ratio);
+        }
+        rec.gap = static_cast<uint32_t>(std::min<uint64_t>(
+            rng_.geometricLog(gapLogFail_), 1u << 20));
+    }
+    drawAccess(rec);
+    return rec;
+}
+
+TraceRecord
+SyntheticTraceGenerator::nextUntimed()
+{
+    rng_.skipGeometric(nextRatio());
+    TraceRecord rec;
+    drawAccess(rec);
     return rec;
 }
 

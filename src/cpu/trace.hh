@@ -12,6 +12,7 @@
 #ifndef MEMSEC_CPU_TRACE_HH
 #define MEMSEC_CPU_TRACE_HH
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -51,6 +52,17 @@ class TraceGenerator
 
     /** Produce the next record. Traces are infinite. */
     virtual TraceRecord next() = 0;
+
+    /**
+     * Produce the next record for a consumer that ignores `gap` (the
+     * functional LLC warmup, cpu/core_model.cc); `gap` is then
+     * unspecified. An override must return the `addr` and `isStore`
+     * that next() would and leave the generator in the state next()
+     * would, consuming every RNG draw next() consumes, so a run
+     * continues identically whichever of the two produced its prefix
+     * (tests/test_trace.cc, Trace.UntimedMatchesTimed).
+     */
+    virtual TraceRecord nextUntimed() { return next(); }
 
     /**
      * Inform the generator of the current DRAM-bus cycle. Called by
@@ -176,6 +188,9 @@ class SyntheticTraceGenerator : public TraceGenerator
     SyntheticTraceGenerator(const WorkloadProfile &profile, uint64_t seed);
 
     TraceRecord next() override;
+    /** next() without the gap: its draw is consumed, its logarithms
+     *  are not computed. */
+    TraceRecord nextUntimed() override;
     void observeCycle(Cycle now) override { memCycle_ = now; }
 
     void saveState(Serializer &s) const override;
@@ -188,19 +203,31 @@ class SyntheticTraceGenerator : public TraceGenerator
     template <class Self, class Ar>
     static void transfer(Self &self, Ar &a);
 
+    /** Lines in the temporal-reuse ring (a power of two). */
+    static constexpr size_t kRecentLines = 64;
+
+    /** Memory-op ratio of the next record, after advancing the phase
+     *  or modulation state; in (0, 1]. */
+    double nextRatio();
+    /** The store flag and address that follow the gap draw. */
+    void drawAccess(TraceRecord &rec);
     Addr pickLine();
 
     WorkloadProfile profile_;
     Rng rng_;
     std::vector<uint64_t> streamPos_;
     unsigned streamRr_ = 0;
-    std::vector<Addr> recent_;
+    std::array<Addr, kRecentLines> recent_{};
     size_t recentIdx_ = 0;
     bool busyPhase_ = true;
     uint64_t phaseLeft_ = 0;
     Cycle memCycle_ = 0;
     /** Secret bitstring when the profile modulates (else empty). */
     std::vector<uint8_t> modSecret_;
+    /** The ratio whose std::log(1 - ratio) is gapLogFail_ (derived,
+     *  not checkpointed; ratios are positive, so 0 means none). */
+    double gapRatio_ = 0.0;
+    double gapLogFail_ = 0.0;
 };
 
 } // namespace memsec::cpu

@@ -27,6 +27,14 @@ floorLog2(uint64_t x)
     return r;
 }
 
+/** x % m, as a mask when m is a power of two (the same value without
+ *  a division); m must be nonzero. */
+constexpr uint64_t
+fastMod(uint64_t x, uint64_t m)
+{
+    return isPowerOf2(m) ? x & (m - 1) : x % m;
+}
+
 /** ceil(log2(x)); x must be nonzero. */
 constexpr unsigned
 ceilLog2(uint64_t x)

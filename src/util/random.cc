@@ -1,7 +1,5 @@
 #include "util/random.hh"
 
-#include <cmath>
-
 #include "util/logging.hh"
 
 namespace memsec {
@@ -18,12 +16,6 @@ splitMix64(uint64_t &x)
     return z ^ (z >> 31);
 }
 
-uint64_t
-rotl(uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 Rng::Rng(uint64_t seed)
@@ -31,20 +23,6 @@ Rng::Rng(uint64_t seed)
     uint64_t sm = seed;
     for (auto &word : s)
         word = splitMix64(sm);
-}
-
-uint64_t
-Rng::next()
-{
-    const uint64_t result = rotl(s[1] * 5, 7) * 9;
-    const uint64_t t = s[1] << 17;
-    s[2] ^= s[0];
-    s[3] ^= s[1];
-    s[1] ^= s[2];
-    s[0] ^= s[3];
-    s[2] ^= t;
-    s[3] = rotl(s[3], 45);
-    return result;
 }
 
 uint64_t
@@ -63,33 +41,13 @@ Rng::range(uint64_t lo, uint64_t hi)
     return lo + below(hi - lo + 1);
 }
 
-double
-Rng::uniform()
-{
-    return (next() >> 11) * 0x1.0p-53;
-}
-
-bool
-Rng::chance(double p)
-{
-    if (p <= 0.0)
-        return false;
-    if (p >= 1.0)
-        return true;
-    return uniform() < p;
-}
-
 uint64_t
 Rng::geometric(double p)
 {
     panic_if(p <= 0.0 || p > 1.0, "Rng::geometric with p = {}", p);
     if (p >= 1.0)
         return 0;
-    double u = uniform();
-    // Avoid log(0).
-    if (u <= 0.0)
-        u = 0x1.0p-53;
-    return static_cast<uint64_t>(std::log(u) / std::log(1.0 - p));
+    return geometricLog(std::log(1.0 - p));
 }
 
 } // namespace memsec
